@@ -330,22 +330,30 @@ with open(sys.argv[2]) as f: now = json.load(f)
 
 # The tentpole kernels must exist (with throughput numbers) on BOTH sides:
 # the skip-if-absent rule below must never silently drop them from the gate.
-REQUIRED = [
-    "BM_ParallelKwayMergeSoa/4",
-    "BM_ParallelKwayMergeSoa/8",
-    "BM_ParallelKwayMergeSoa/32",
-    "BM_ParallelKwayMergeSoaSeq/32",
-    "BM_QuicksortNoSimd/1048576",
-    "BM_RadixSort/1048576/0",
-    "BM_RadixSort/1048576/4294967296",
-    "BM_LocalSortAdaptive/1048576/0",
-    "BM_LocalSortAdaptive/1048576/4294967296",
-]
+# The two DES rows guard the O(1) root reclaim and the same-instant lane.
+REQUIRED = {
+    "kernels_local_sort": [
+        "BM_ParallelKwayMergeSoa/4",
+        "BM_ParallelKwayMergeSoa/8",
+        "BM_ParallelKwayMergeSoa/32",
+        "BM_ParallelKwayMergeSoaSeq/32",
+        "BM_QuicksortNoSimd/1048576",
+        "BM_RadixSort/1048576/0",
+        "BM_RadixSort/1048576/4294967296",
+        "BM_LocalSortAdaptive/1048576/0",
+        "BM_LocalSortAdaptive/1048576/4294967296",
+    ],
+    "kernels_network": [
+        "BM_SimReclaimManyRoots/65536",
+        "BM_SimSameInstantWakeups/65536",
+    ],
+}
 missing = [
-    name for name in REQUIRED
+    f"{suite}/{name}"
+    for suite, names in REQUIRED.items()
+    for name in names
     for side in (base, now)
-    if not (side.get("kernels_local_sort", {}).get(name) or {}).get(
-        "items_per_second")
+    if not (side.get(suite, {}).get(name) or {}).get("items_per_second")
 ]
 if missing:
     print(f"perf gate FAILED: required benches absent: {sorted(set(missing))}")

@@ -2051,10 +2051,14 @@ class DistributedSorter {
       for (std::size_t at = lo; at < hi;) {
         // Backpressure: with the pool dry and the outstanding cap reached,
         // block on a receive — placing the arrived chunk returns its buffer
-        // — instead of allocating yet another. Deadlock-free: we only block
-        // while peers still owe us data, and (in the whole-membership case)
-        // every outstanding buffer is in flight to (or queued at) a machine
-        // that is still draining.
+        // — instead of allocating yet another. We only block while peers
+        // still owe us data, but that does NOT make this deadlock-free: the
+        // one pool is shared by every simulated machine, and it can refill
+        // without waking senders parked here. Scoped exchanges are held off
+        // by scoped_pending_guard; the whole-membership exchange is not,
+        // and some p=1024 seeds wedge with every rank blocked on its data
+        // mailbox (the wait-for graph aborts naming them). Per-machine
+        // buffers would remove this by construction.
         while (use_pool && cfg_.async_exchange &&
                remote_placed < remote_expected && pool_.free_buffers() == 0 &&
                pool_.outstanding() >= pool_cap &&

@@ -126,13 +126,18 @@ class Comm {
   Comm(sim::Simulator& sim, net::Fabric& fabric, ReliableConfig rcfg = {})
       : sim_(sim), fabric_(fabric), machines_(fabric.machines()), rcfg_(rcfg),
         barrier_(sim, fabric.machines()), mailboxes_(fabric.machines()),
-        inflight_(machines_ * machines_), next_seq_(machines_ * machines_, 0),
-        dedup_(machines_ * machines_), unreachable_(fabric.machines(), 0),
-        inflight_to_(fabric.machines()), at_barrier_(fabric.machines(), 0) {
+        unreachable_(fabric.machines(), 0), inflight_to_(fabric.machines()),
+        at_barrier_(fabric.machines(), 0) {
     PGXD_CHECK(rcfg_.initial_rto > 0 && rcfg_.max_rto >= rcfg_.initial_rto);
     PGXD_CHECK(rcfg_.max_attempts >= 1);
     PGXD_CHECK(rcfg_.backoff_jitter >= 0.0);
     backoff_rng_ = Rng(rcfg_.seed);
+    if (rcfg_.enabled) {
+      // Dense per-pair protocol state: O(p^2), so only reliable runs pay.
+      inflight_.resize(machines_ * machines_);
+      next_seq_.assign(machines_ * machines_, 0);
+      dedup_.resize(machines_ * machines_);
+    }
   }
 
   std::size_t machines() const { return machines_; }
@@ -207,9 +212,9 @@ class Comm {
     PGXD_CHECK(rank < machines_);
     auto& ch = mailbox(rank, tag);
     std::size_t n = ch.size() + ch.handed_pending();
-    auto it = inflight_to_[rank].find(tag);
-    if (it != inflight_to_[rank].end())
-      n += static_cast<std::size_t>(it->second);
+    const auto& inflight = inflight_to_[rank];
+    const std::size_t t = tag_index(tag);
+    if (t < inflight.size()) n += static_cast<std::size_t>(inflight[t]);
     return n;
   }
 
@@ -394,7 +399,8 @@ class Comm {
   std::size_t pending_total(std::size_t rank) const {
     PGXD_CHECK(rank < machines_);
     std::size_t n = 0;
-    for (const auto& [tag, ch] : mailboxes_[rank]) n += ch->size();
+    for (const auto& ch : mailboxes_[rank])
+      if (ch) n += ch->size();
     return n;
   }
 
@@ -402,8 +408,8 @@ class Comm {
   // clean engine drains every mailbox; leftovers hide protocol bugs.
   std::size_t total_pending() const {
     std::size_t n = 0;
-    for (const auto& boxes : mailboxes_)
-      for (const auto& [tag, ch] : boxes) n += ch->size();
+    for (std::size_t rank = 0; rank < machines_; ++rank)
+      n += pending_total(rank);
     return n;
   }
 
@@ -412,11 +418,13 @@ class Comm {
   std::string blocked_report() const {
     std::string out;
     for (std::size_t rank = 0; rank < mailboxes_.size(); ++rank)
-      for (const auto& [tag, ch] : mailboxes_[rank])
-        if (ch->waiting() > 0)
+      for (std::size_t tag = 0; tag < mailboxes_[rank].size(); ++tag) {
+        const auto& ch = mailboxes_[rank][tag];
+        if (ch && ch->waiting() > 0)
           out += " rank " + std::to_string(rank) + " waits on tag " +
                  std::to_string(tag) + " (" + std::to_string(ch->waiting()) +
                  " recv)";
+      }
     if (barrier_.waiting() > 0) {
       std::string ranks;
       for (std::size_t r = 0; r < at_barrier_.size(); ++r)
@@ -435,7 +443,8 @@ class Comm {
   // at quiescence (no receiver may still be waiting).
   void drain_mailboxes() {
     for (auto& boxes : mailboxes_)
-      for (auto& [tag, ch] : boxes) {
+      for (auto& ch : boxes) {
+        if (!ch) continue;
         PGXD_CHECK_MSG(ch->waiting() == 0,
                        "drain_mailboxes with a receiver still blocked");
         ch->clear();
@@ -447,11 +456,13 @@ class Comm {
   std::string stray_report() const {
     std::string out;
     for (std::size_t rank = 0; rank < mailboxes_.size(); ++rank)
-      for (const auto& [tag, ch] : mailboxes_[rank])
-        if (!ch->empty())
+      for (std::size_t tag = 0; tag < mailboxes_[rank].size(); ++tag) {
+        const auto& ch = mailboxes_[rank][tag];
+        if (ch && !ch->empty())
           out += " rank " + std::to_string(rank) + " tag " +
                  std::to_string(tag) + " (" + std::to_string(ch->size()) +
                  " msg)";
+      }
     return out;
   }
 
@@ -704,12 +715,17 @@ class Comm {
   // the destination mailbox, is lost on the unreliable fabric, or is
   // abandoned by a fail-fast sender. Tracked unconditionally so a graph
   // attached at cluster construction never sees a partial count.
-  void note_inflight(std::size_t dst, int tag) { ++inflight_to_[dst][tag]; }
+  void note_inflight(std::size_t dst, int tag) {
+    auto& row = inflight_to_[dst];
+    const std::size_t t = tag_index(tag);
+    if (t >= row.size()) row.resize(t + 1, 0);
+    ++row[t];
+  }
   void note_settled(std::size_t dst, int tag) {
-    auto it = inflight_to_[dst].find(tag);
-    PGXD_DCHECK(it != inflight_to_[dst].end() && it->second > 0);
-    if (it != inflight_to_[dst].end() && --it->second == 0)
-      inflight_to_[dst].erase(it);
+    auto& row = inflight_to_[dst];
+    const std::size_t t = tag_index(tag);
+    PGXD_DCHECK(t < row.size() && row[t] > 0);
+    if (t < row.size() && row[t] > 0) --row[t];
   }
 
   void note_barrier_arrival(std::size_t rank) {
@@ -740,8 +756,18 @@ class Comm {
     return rto + static_cast<sim::SimTime>(backoff_rng_.bounded(span + 1));
   }
 
+  // Mailbox and in-flight tables are indexed by tag: tags are small
+  // non-negative ints, and a rank's row grows to the highest tag it sees.
+  static std::size_t tag_index(int tag) {
+    PGXD_CHECK_MSG(tag >= 0, "negative message tag");
+    return static_cast<std::size_t>(tag);
+  }
+
   sim::Channel<Msg>& mailbox(std::size_t rank, int tag) {
-    auto& slot = mailboxes_[rank][tag];
+    auto& row = mailboxes_[rank];
+    const std::size_t t = tag_index(tag);
+    if (t >= row.size()) row.resize(t + 1);
+    auto& slot = row[t];
     if (!slot) slot = std::make_unique<sim::Channel<Msg>>(sim_);
     return *slot;
   }
@@ -752,8 +778,10 @@ class Comm {
   ReliableConfig rcfg_;
   ReliableStats rstats_;
   sim::Barrier barrier_;
-  std::vector<std::map<int, std::unique_ptr<sim::Channel<Msg>>>> mailboxes_;
-  // Reliable-mode state, indexed by pair_index(src, dst).
+  // Indexed [rank][tag]; a channel is created on first use.
+  std::vector<std::vector<std::unique_ptr<sim::Channel<Msg>>>> mailboxes_;
+  // Reliable-mode state, indexed by pair_index(src, dst); empty unless
+  // rcfg_.enabled.
   std::vector<std::map<std::uint64_t, std::shared_ptr<InFlight>>> inflight_;
   std::vector<std::uint64_t> next_seq_;
   std::vector<DedupWindow> dedup_;
@@ -763,7 +791,8 @@ class Comm {
   sim::WaitGraph* graph_ = nullptr;
   // Remote messages headed for (dst, tag) that have not yet landed, been
   // lost, or been abandoned — the satisfiability probe's in-flight term.
-  std::vector<std::map<int, std::int64_t>> inflight_to_;
+  // Indexed [dst][tag].
+  std::vector<std::vector<std::int64_t>> inflight_to_;
   // Ranks currently arrived-and-suspended at the barrier, for deadlock
   // diagnostics naming.
   std::vector<char> at_barrier_;

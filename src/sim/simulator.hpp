@@ -1,11 +1,18 @@
 // Discrete-event simulator core.
 //
 // Single-threaded and deterministic: runnable events are totally ordered by
-// (timestamp, insertion sequence), so two runs with the same seeds produce
+// (timestamp, priority, insertion sequence) — the priority is 0 except
+// under schedule perturbation — so two runs with the same seeds produce
 // identical traces. Processes are sim::Task coroutines; all wake-ups —
 // delays, channel sends, barrier releases — go through the event queue
 // rather than resuming inline, which keeps the ordering discipline in one
 // place.
+//
+// The queue is a binary heap plus, when perturbation is off, a FIFO lane
+// for wake-ups at the current instant (about half of all events in a large
+// sort). Lane entries all carry at == now() and arrive in sequence order,
+// so the lane front is the lane's minimum; dispatch pops the smaller of
+// lane front and heap top, which is exactly the order a single heap gives.
 #pragma once
 
 #include <coroutine>
@@ -55,9 +62,10 @@ class Simulator {
   }
 
   // Must be set before the first event is scheduled (the tiebreak keys of
-  // already-queued events cannot be rewritten).
+  // already-queued events cannot be rewritten, and queued same-instant
+  // events sit in the lane that perturbed runs bypass).
   void set_perturbation(const PerturbConfig& cfg) {
-    PGXD_CHECK_MSG(queue_.empty() && next_seq_ == 0,
+    PGXD_CHECK_MSG(next_seq_ == 0,
                    "set_perturbation after events were scheduled");
     PGXD_CHECK_MSG(cfg.wake_jitter >= 0, "negative wake_jitter");
     perturb_ = cfg;
@@ -105,7 +113,10 @@ class Simulator {
   // that situation in tests.
   SimTime run();
 
-  // Runs events with timestamp <= t, then sets now() = t.
+  // Runs events with timestamp <= t, then sets now() = t — unless
+  // request_stop() ended the loop, in which case now() stays at the last
+  // dispatched event (events at <= t may still be queued, and the clock
+  // must not pass them).
   SimTime run_until(SimTime t);
 
   // True when every spawned root process has run to completion.
@@ -117,11 +128,12 @@ class Simulator {
 
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t pending_events() const {
-    return queue_.size() - cancelled_.size();
+    return queue_.size() + (lane_.size() - lane_head_) - cancelled_.size();
   }
 
  private:
   friend struct detail::PromiseBase;
+  using RootHandle = std::coroutine_handle<Task<void>::promise_type>;
 
   struct Scheduled {
     SimTime at;
@@ -129,13 +141,19 @@ class Simulator {
     // a seeded-random key under perturbation (seq still breaks pri ties,
     // keeping the order total and deterministic per seed).
     std::uint64_t pri;
-    std::uint64_t seq;
+    // Insertion sequence number shifted left by one; the low bit marks an
+    // event created by schedule_cancellable. Sequence numbers are unique,
+    // so comparing keys orders by seq and the flag never decides.
+    std::uint64_t key;
     std::coroutine_handle<> handle;
+
+    std::uint64_t seq() const { return key >> 1; }
+    bool cancellable() const { return (key & 1) != 0; }
 
     bool operator>(const Scheduled& o) const {
       if (at != o.at) return at > o.at;
       if (pri != o.pri) return pri > o.pri;
-      return seq > o.seq;
+      return key > o.key;
     }
   };
 
@@ -145,7 +163,15 @@ class Simulator {
         static_cast<std::uint64_t>(perturb_.wake_jitter) + 1));
   }
 
-  void reclaim(std::coroutine_handle<> h, detail::PromiseBase& promise);
+  std::uint64_t enqueue(SimTime at, std::coroutine_handle<> h,
+                        bool cancellable);
+  bool lane_empty() const { return lane_head_ == lane_.size(); }
+  bool has_events() const { return !lane_empty() || !queue_.empty(); }
+  // Timestamp of the next event; requires has_events().
+  SimTime next_at() const { return lane_empty() ? queue_.top().at : now_; }
+  Scheduled pop_next();
+  void dispatch(const Scheduled& ev);
+  void reclaim(detail::PromiseBase& promise);
   void drain_reclaimed();
   void step(const Scheduled& ev);
 
@@ -154,12 +180,20 @@ class Simulator {
   std::uint64_t events_processed_ = 0;
   std::size_t live_roots_ = 0;
   std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>> queue_;
-  // Cancellation is lazy: a cancelled seq stays in the heap and is skipped
-  // (without advancing the clock) when it reaches the top.
+  // Same-instant FIFO lane (perturbation off): every entry has at == now_.
+  // Entries before lane_head_ are consumed; the prefix is dropped when the
+  // lane empties or grows mostly consumed.
+  std::vector<Scheduled> lane_;
+  std::size_t lane_head_ = 0;
+  // Cancellation is lazy: a cancelled seq stays queued and is skipped
+  // (without advancing the clock) when it comes up. Only events flagged
+  // cancellable consult these sets.
   std::unordered_set<std::uint64_t> cancellable_live_;
   std::unordered_set<std::uint64_t> cancelled_;
-  std::vector<std::coroutine_handle<>> reclaimed_;
-  std::vector<std::coroutine_handle<>> roots_;  // frames owned by the simulator
+  std::vector<detail::PromiseBase*> reclaimed_;
+  // Frames owned by the simulator; each root's promise stores its index
+  // here, so reclaiming one is a swap with the back.
+  std::vector<RootHandle> roots_;
   PerturbConfig perturb_;
   Rng perturb_rng_{0};
   bool stop_requested_ = false;

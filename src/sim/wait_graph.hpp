@@ -119,17 +119,16 @@ class WaitGraph {
   // live process to be blocked. Re-spawning a done process (recovery
   // attempts re-run ranks) revives it.
   void process_spawned(std::size_t rank) {
-    auto [it, inserted] = state_.try_emplace(rank, State{});
-    if (!inserted && it->second.live) return;
-    it->second.live = true;
+    State& st = state(rank);
+    if (st.live) return;
+    st.live = true;
     ++live_;
   }
 
   void process_done(std::size_t rank) {
-    auto it = state_.find(rank);
-    PGXD_CHECK_MSG(it != state_.end() && it->second.live,
+    PGXD_CHECK_MSG(rank < state_.size() && state_[rank].live,
                    "process_done for a process never spawned");
-    it->second.live = false;
+    state_[rank].live = false;
     PGXD_CHECK(live_ > 0);
     --live_;
     maybe_detect();
@@ -166,7 +165,7 @@ class WaitGraph {
       case WaitResource::Kind::kPool: ++stats_.pool_waits; break;
     }
     if (!annotation) {
-      auto& st = state_[rank];
+      State& st = state(rank);
       if (st.waits++ == 0) ++blocked_;
       stats_.max_blocked = std::max(stats_.max_blocked, blocked_);
       maybe_detect();
@@ -193,19 +192,18 @@ class WaitGraph {
   // ---- hold edges (who can satisfy a resource) ---------------------------
 
   void add_hold(WaitResource res, std::size_t rank) {
-    ++holds_[res][rank];
+    auto& counts = holds_[res];
+    if (rank >= counts.size()) counts.resize(rank + 1, 0);
+    ++counts[rank];
     ++stats_.holds_added;
   }
 
-  // Counted; a no-op below zero so best-effort callers (duplicate chunks,
+  // Counted; a no-op at zero so best-effort callers (duplicate chunks,
   // recovery re-sends) can over-remove safely.
   void remove_hold(WaitResource res, std::size_t rank) {
     auto it = holds_.find(res);
-    if (it == holds_.end()) return;
-    auto rit = it->second.find(rank);
-    if (rit == it->second.end()) return;
-    if (--rit->second <= 0) it->second.erase(rit);
-    if (it->second.empty()) holds_.erase(it);
+    if (it == holds_.end() || rank >= it->second.size()) return;
+    if (it->second[rank] > 0) --it->second[rank];
   }
 
   void clear_holds(WaitResource res) { holds_.erase(res); }
@@ -312,17 +310,21 @@ class WaitGraph {
     return out;
   }
 
+  State& state(std::size_t rank) {
+    if (rank >= state_.size()) state_.resize(rank + 1);
+    return state_[rank];
+  }
+
   bool is_blocked(std::size_t rank) const {
-    auto it = state_.find(rank);
-    return it != state_.end() && it->second.waits > 0;
+    return rank < state_.size() && state_[rank].waits > 0;
   }
 
   // Lowest blocked holder of `res`, if any.
   std::optional<std::size_t> blocked_holder(const WaitResource& res) const {
     auto it = holds_.find(res);
     if (it == holds_.end()) return std::nullopt;
-    for (const auto& [rank, count] : it->second)
-      if (count > 0 && is_blocked(rank)) return rank;
+    for (std::size_t rank = 0; rank < it->second.size(); ++rank)
+      if (it->second[rank] > 0 && is_blocked(rank)) return rank;
     return std::nullopt;
   }
 
@@ -340,8 +342,8 @@ class WaitGraph {
 
   Deadlock build_deadlock() const {
     Deadlock d;
-    for (const auto& [rank, st] : state_)
-      if (st.waits > 0) d.blocked.push_back(rank);
+    for (std::size_t rank = 0; rank < state_.size(); ++rank)
+      if (state_[rank].waits > 0) d.blocked.push_back(rank);
     // Walk rank -> primary resource -> lowest blocked holder until a rank
     // repeats; the slice from its first occurrence is the named cycle.
     if (!d.blocked.empty()) {
@@ -391,8 +393,10 @@ class WaitGraph {
 
   std::vector<Edge> edges_;
   std::vector<std::size_t> free_;
-  std::map<std::size_t, State> state_;
-  std::map<WaitResource, std::map<std::size_t, int>> holds_;
+  // Indexed by rank, grown on first sight; iteration is ascending rank.
+  std::vector<State> state_;
+  // Per resource, hold counts indexed by rank.
+  std::map<WaitResource, std::vector<int>> holds_;
   std::size_t live_ = 0;
   std::size_t blocked_ = 0;
   std::function<bool(const WaitResource&)> probe_;

@@ -305,6 +305,38 @@ TEST(Comm, TagsAreIndependentStreams) {
   EXPECT_EQ(tag_b, 200);
 }
 
+TEST(Comm, NegativeTagDies) {
+  Cluster<std::vector<int>> cluster(tiny_cluster(2));
+  EXPECT_DEATH((void)cluster.comm().try_recv(0, -1), "negative message tag");
+  EXPECT_DEATH(cluster.comm().post(0, 1, -3, {1}, 4), "negative message tag");
+}
+
+TEST(Comm, TagFarPastEarlierTagsDelivers) {
+  // Mailbox tables grow per rank on demand: a recovery attempt's tags sit
+  // a whole tag stride (16) per attempt above the first attempt's.
+  constexpr int kAttempt = 3;
+  constexpr int kRecoveryTag = kAttempt * 16 + 11;
+  Cluster<std::vector<int>> cluster(tiny_cluster(2));
+  std::vector<int> got;
+  cluster.run([&](Machine& m) -> sim::Task<void> {
+    auto& comm = cluster.comm();
+    if (m.rank() == 0) {
+      comm.post(0, 1, /*tag=*/0, {1}, 4);
+      comm.post(0, 1, kRecoveryTag, {2}, 4);
+      comm.post(0, 0, kRecoveryTag + 1, {3}, 4);  // local, own row
+      got.push_back((co_await comm.recv(0, kRecoveryTag + 1)).payload[0]);
+    } else {
+      got.push_back((co_await comm.recv(1, kRecoveryTag)).payload[0]);
+      got.push_back((co_await comm.recv(1, 0)).payload[0]);
+    }
+    co_return;
+  });
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(cluster.comm().total_pending(), 0u);
+  EXPECT_EQ(cluster.comm().unconsumed(1, kRecoveryTag), 0u);
+}
+
 TEST(Comm, RecvNGathersFromAllRanks) {
   Cluster<std::vector<int>> cluster(tiny_cluster(4));
   std::vector<int> got;

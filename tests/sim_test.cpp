@@ -88,6 +88,73 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
   EXPECT_TRUE(sim.quiescent());
 }
 
+TEST(Simulator, RunUntilStoppedKeepsTheClockAtTheLastEvent) {
+  // A stop requested mid-window ends run_until with events at <= t still
+  // queued; the clock must stay at the stopping event, not jump to t past
+  // them.
+  Simulator sim;
+  std::vector<SimTime> log;
+  sim.spawn([](Simulator& s) -> Task<void> {
+    co_await s.delay(100);
+    s.request_stop();
+  }(sim));
+  sim.spawn(delay_then_record(sim, 150, log));
+  EXPECT_EQ(sim.run_until(500), 100);
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.pending_events(), 1u);  // the t=150 wake-up, not yet due
+  EXPECT_EQ(sim.run(), 100);            // stopped: the clock never rewinds
+}
+
+// Counts frame destructions per root: a coroutine's parameter copies die
+// when its frame is destroyed, after final suspension for finished roots.
+struct FrameProbe {
+  std::vector<int>* destroyed;
+  std::size_t id;
+  FrameProbe(std::vector<int>* d, std::size_t i) : destroyed(d), id(i) {}
+  FrameProbe(FrameProbe&& o) noexcept
+      : destroyed(std::exchange(o.destroyed, nullptr)), id(o.id) {}
+  FrameProbe(const FrameProbe&) = delete;
+  FrameProbe& operator=(const FrameProbe&) = delete;
+  FrameProbe& operator=(FrameProbe&&) = delete;
+  ~FrameProbe() {
+    if (destroyed != nullptr) ++(*destroyed)[id];
+  }
+};
+
+Task<void> probed_root(Simulator& sim, FrameProbe probe, SimTime dt,
+                       Event* never) {
+  (void)probe;
+  co_await sim.delay(dt);
+  if (never != nullptr) co_await never->wait();
+}
+
+TEST(Simulator, RootsFinishingInScrambledOrderAreDestroyedOnce) {
+  constexpr std::size_t kRoots = 64;
+  std::vector<int> destroyed(kRoots, 0);
+  std::vector<bool> finishes(kRoots);
+  {
+    Simulator sim;
+    Event never(sim);
+    for (std::size_t i = 0; i < kRoots; ++i) {
+      // 37 is coprime to 64: completion order is a permutation of spawn
+      // order, so reclaims hit every position of the root table.
+      const auto dt = static_cast<SimTime>((i * 37) % kRoots + 1);
+      finishes[i] = i % 5 != 0;
+      FrameProbe probe(&destroyed, i);
+      sim.spawn(probed_root(sim, std::move(probe), dt,
+                            finishes[i] ? nullptr : &never));
+    }
+    sim.run();
+    EXPECT_FALSE(sim.quiescent());
+    for (std::size_t i = 0; i < kRoots; ++i)
+      EXPECT_EQ(destroyed[i], finishes[i] ? 1 : 0) << "root " << i;
+  }
+  // ~Simulator destroys the roots still suspended on `never`.
+  for (std::size_t i = 0; i < kRoots; ++i)
+    EXPECT_EQ(destroyed[i], 1) << "root " << i;
+}
+
 Task<int> compute_answer(Simulator& sim) {
   co_await sim.delay(10);
   co_return 42;
@@ -577,6 +644,81 @@ TEST(WhenAny, AckOrTimeoutPatternCancelsTheLoser) {
   EXPECT_FALSE(log[0].expired);
   EXPECT_EQ(sim.now(), 40);  // the 1000-tick deadline never fires
   EXPECT_TRUE(sim.quiescent());
+}
+
+// --- Same-instant ordering --------------------------------------------------
+
+// Suspends on a same-instant cancellable wake-up, publishing its ticket.
+struct SameInstantCancellable {
+  Simulator& sim;
+  std::uint64_t* ticket;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    *ticket = sim.schedule_cancellable(sim.now(), h);
+  }
+  void await_resume() const noexcept {}
+};
+
+TEST(Simulator, MixedSameInstantWakeupsResumeInSequenceOrder) {
+  // At t=10 three wake-ups were queued earlier (delay(10) twice and a
+  // cancellable timeout deadline); the events they run queue more at the
+  // same instant (an Event handoff via schedule_now, a delay(0) and a
+  // zero-length cancellable timeout). Everything resumes in (at, seq)
+  // order: the earlier-queued three first, then the rest as queued.
+  Simulator sim;
+  Event ev(sim);
+  std::vector<std::string> log;
+  sim.spawn([](Simulator& s, Event& e, std::vector<std::string>& l)
+                -> Task<void> {
+    co_await s.delay(10);
+    l.push_back("a");
+    e.fire();             // wakes the waiter: schedule_now
+    co_await s.delay(0);  // same instant, after the waiter
+    l.push_back("a+0");
+  }(sim, ev, log));
+  Timeout deadline(sim, 10);
+  sim.spawn([](Timeout& t, std::vector<std::string>& l) -> Task<void> {
+    co_await t.wait();
+    l.push_back(t.expired() ? "deadline" : "cancelled");
+  }(deadline, log));
+  sim.spawn([](Simulator& s, std::vector<std::string>& l) -> Task<void> {
+    co_await s.delay(10);
+    l.push_back("b");
+    Timeout zero(s, 0);
+    co_await zero.wait();
+    l.push_back("b-timeout");
+  }(sim, log));
+  sim.spawn([](Event& e, std::vector<std::string>& l) -> Task<void> {
+    co_await e.wait();
+    l.push_back("waiter");
+  }(ev, log));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "deadline", "b", "waiter",
+                                           "a+0", "b-timeout"}));
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_TRUE(sim.quiescent());
+}
+
+TEST(Simulator, CancelledSameInstantEventNeverRuns) {
+  Simulator sim;
+  std::uint64_t ticket = 0;
+  bool resumed = false;
+  bool cancelled = false;
+  sim.spawn([](Simulator& s, std::uint64_t& t, bool& r) -> Task<void> {
+    co_await SameInstantCancellable{s, &t};
+    r = true;
+  }(sim, ticket, resumed));
+  sim.spawn([](Simulator& s, std::uint64_t& t, bool& c) -> Task<void> {
+    c = s.cancel(t);  // runs before the wake-up queued at this instant
+    co_await s.delay(5);
+  }(sim, ticket, cancelled));
+  EXPECT_EQ(sim.run(), 5);
+  EXPECT_TRUE(cancelled);
+  EXPECT_FALSE(resumed);
+  EXPECT_FALSE(sim.cancel(ticket));       // already cancelled
+  EXPECT_EQ(sim.events_processed(), 3u);  // two spawns and the delay
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(sim.quiescent());  // the parked root dies with the simulator
 }
 
 // --- Schedule perturbation ---------------------------------------------------

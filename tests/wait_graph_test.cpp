@@ -127,6 +127,35 @@ TEST(WaitGraph, DetectsWedgeAndNamesTheCycleFromHolds) {
   EXPECT_EQ(g.stats().deadlocks, 1u);
 }
 
+TEST(WaitGraph, CycleNamingIsByteStable) {
+  // Ranks spawned, held and blocked out of order; the walk starts at the
+  // lowest blocked rank and follows the lowest blocked holder each hop.
+  WaitGraph g;
+  for (std::size_t r : {9u, 2u, 5u, 0u}) g.process_spawned(r);
+  g.add_hold(WaitResource::mailbox(2, 43), 9);
+  g.add_hold(WaitResource::mailbox(2, 43), 5);  // lower holder wins the hop
+  g.add_hold(WaitResource::mailbox(5, 3), 9);
+  g.add_hold(WaitResource::mailbox(9, 1), 2);
+  g.add_hold(WaitResource::barrier(), 0);  // 0 never blocks: not a holder
+  g.add_hold(WaitResource::barrier(), 2);
+  g.process_done(0);
+  g.begin_wait(9, WaitResource::mailbox(9, 1));
+  g.begin_wait(5, WaitResource::mailbox(5, 3));
+  g.begin_wait(5, WaitResource::pool(), /*annotation=*/true);
+  g.begin_wait(2, WaitResource::mailbox(2, 43));
+  ASSERT_TRUE(g.deadlock().has_value());
+  const auto& d = *g.deadlock();
+  EXPECT_EQ(d.blocked, (std::vector<std::size_t>{2, 5, 9}));
+  EXPECT_EQ(d.cycle_ranks, (std::vector<std::size_t>{2, 5, 9}));
+  EXPECT_EQ(d.description,
+            "wait-for cycle: rank 2 waits on mailbox(rank 2, tag 43) <- held "
+            "by rank 5; rank 5 waits on mailbox(rank 5, tag 3) [also blocked "
+            "on buffer-pool 0] <- held by rank 9; rank 9 waits on "
+            "mailbox(rank 9, tag 1) <- held by rank 2; blocked receives: "
+            "rank 2 waits on tag 43 (1 recv); rank 5 waits on tag 3 (1 recv) "
+            "[also blocked on buffer-pool 0]; rank 9 waits on tag 1 (1 recv)");
+}
+
 TEST(WaitGraph, SatisfiableProbeVetoesTheVerdict) {
   WaitGraph g;
   g.process_spawned(0);
@@ -299,6 +328,63 @@ TEST(BlockedReport, SortsByRankThenTag) {
   EXPECT_EQ(mid_run,
             " rank 1 waits on tag 5 (1 recv)"
             " rank 2 waits on tag 3 (1 recv)");
+}
+
+TEST(BlockedReport, ListsEveryWaitingTagOfARankInTagOrder) {
+  Cluster<std::vector<int>> cluster(tiny_cluster(3));
+  std::string comm_report;
+  std::string graph_report;
+  cluster.run([&](Machine& m) -> sim::Task<void> {
+    auto& comm = cluster.comm();
+    if (m.rank() == 0) {
+      // A second receiver on rank 2's mailbox, at a tag below the first.
+      cluster.simulator().spawn([](rt::Comm<std::vector<int>>& c)
+                                    -> sim::Task<void> {
+        co_await c.recv(2, 4);
+      }(comm));
+      co_await cluster.simulator().delay(1000);  // let the others park
+      comm_report = comm.blocked_report();
+      graph_report = cluster.wait_graph().report();
+      comm.post(0, 2, 43, {1}, 4);
+      comm.post(0, 2, 4, {1}, 4);
+      comm.post(0, 1, 0, {1}, 4);
+    } else if (m.rank() == 1) {
+      co_await comm.recv(1, 0);
+    } else {
+      co_await comm.recv(2, 43);
+    }
+    co_return;
+  });
+  EXPECT_EQ(comm_report,
+            " rank 1 waits on tag 0 (1 recv)"
+            " rank 2 waits on tag 4 (1 recv)"
+            " rank 2 waits on tag 43 (1 recv)");
+  EXPECT_EQ(graph_report,
+            " rank 1 waits on tag 0 (1 recv);"
+            " rank 2 waits on tag 4 (1 recv);"
+            " rank 2 waits on tag 43 (1 recv)");
+}
+
+TEST(StrayReport, NamesUndrainedMailboxesByRankThenTag) {
+  ClusterConfig cfg = tiny_cluster(3);
+  cfg.allow_undrained = true;
+  Cluster<std::vector<int>> cluster(cfg);
+  cluster.run([&](Machine& m) -> sim::Task<void> {
+    auto& comm = cluster.comm();
+    if (m.rank() == 2) {
+      comm.post(2, 2, 40, {1}, 4);
+      comm.post(2, 2, 1, {1}, 4);
+      comm.post(2, 0, 5, {1}, 4);
+      comm.post(2, 0, 5, {2}, 4);
+    }
+    co_return;
+  });
+  const auto& comm = cluster.comm();
+  EXPECT_EQ(comm.stray_report(),
+            " rank 0 tag 5 (2 msg) rank 2 tag 1 (1 msg) rank 2 tag 40 (1 msg)");
+  EXPECT_EQ(comm.total_pending(), 4u);
+  EXPECT_EQ(comm.pending_total(0), 2u);
+  EXPECT_EQ(comm.pending_total(1), 0u);
 }
 
 TEST(BlockedReport, NamesRanksStuckAtTheBarrier) {
