@@ -20,10 +20,12 @@ enum class MergeAlgo {
   // Fig. 2 pairwise balanced merge tree (the paper's handler): every
   // element moves once per level, ceil(log2 R) levels, merges parallel.
   kPairwiseTree,
-  // Single-pass parallel loser-tree k-way merge
-  // (sort/parallel_kway_merge.hpp): splitter search cuts the output into
-  // per-thread ranges, each merged by one loser tree — one move per
-  // element. Bit-identical output to the tree. The default.
+  // Single-pass parallel loser-tree k-way merge: charged as a splitter
+  // search that cuts the output into per-thread ranges, each merged by one
+  // loser tree (sort/parallel_kway_merge.hpp) — one move per element. The
+  // single-threaded DES host runs one tournament over the whole partition
+  // instead, writing the output Items directly. Bit-identical output to
+  // the tree. The default.
   kParallelKway,
   // One sequential loser tree (the historical k-way ablation).
   kSequentialKway,

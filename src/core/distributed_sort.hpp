@@ -11,8 +11,9 @@
 //      receiver knows its offsets up front.
 //   5. Simultaneous asynchronous send/receive of data ranges, streamed in
 //      read-buffer-sized chunks through the data-manager request buffers.
-//   6. Balanced parallel merge of the per-source sorted runs, keeping each
-//      element's previous processor and index (provenance).
+//   6. Merge of the per-source sorted runs, keeping each element's previous
+//      processor and index (provenance), then the exactly-once audit
+//      (core/exactly_once.hpp).
 //
 // All data movement is real (the output partitions are physically sorted
 // real vectors); elapsed time is simulated through the cost model and the
@@ -47,6 +48,7 @@
 #include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "core/config.hpp"
+#include "core/exactly_once.hpp"
 #include "core/provenance.hpp"
 #include "core/splitters.hpp"
 #include "obs/metrics.hpp"
@@ -58,19 +60,11 @@
 #include "sort/balanced_merge.hpp"
 #include "sort/kway_merge.hpp"
 #include "sort/local_sort.hpp"
-#include "sort/parallel_kway_merge.hpp"
 #include "sort/quicksort.hpp"
 #include "sort/samples.hpp"
 #include "sort/soa_merge.hpp"
 
 namespace pgxd::core {
-
-// One sortable element: the key plus where it came from.
-template <typename Key>
-struct Item {
-  Key key;
-  Provenance prov;
-};
 
 // Message payload for the sort's communication; which member is populated
 // depends on the tag.
@@ -1829,11 +1823,11 @@ class DistributedSorter {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
 
     // SoA exchange+merge path: the receiver stores bare keys at their final
-    // offsets plus one range-start per source, merges keys with a compact
-    // u32 permutation, and materializes Item records (key + reconstructed
-    // provenance) once at the very end. Item records are built per element
-    // in the AoS path instead. Falls back to AoS for the sequential k-way
-    // ablation and for partitions beyond u32 indexing.
+    // offsets plus one range-start per source, and the final merge writes
+    // the Item records (key + reconstructed provenance) straight into the
+    // output. Item records are built per element in the AoS path instead.
+    // Falls back to AoS for the sequential k-way ablation and for
+    // partitions beyond u32 indexing (the pairwise tree's permutation).
     const MergeAlgo merge_algo = cfg_.effective_final_merge();
     const bool soa = cfg_.soa_final_merge &&
                      merge_algo != MergeAlgo::kSequentialKway &&
@@ -2147,90 +2141,92 @@ class DistributedSorter {
 
     // ---- Step 6: final merge ------------------------------------------------
     {
-      std::vector<std::size_t> bounds(offsets.begin(), offsets.end());
       std::size_t nonempty_runs = 0;
       for (std::size_t s = 0; s < q; ++s)
         nonempty_runs += (recv_counts[s] > 0);
       const std::size_t runs = std::max<std::size_t>(1, nonempty_runs);
       if (soa) {
-        // Bare keys + u32 permutation merge as SoA planes; the output
-        // partition is then written directly from the result planes — no
-        // staging copy-back — with provenance reconstructed from each
-        // element's pre-merge position.
-        std::vector<std::uint32_t> perm(total_recv);
-        std::iota(perm.begin(), perm.end(), 0u);
-        std::vector<Key> key_scratch;
-        std::vector<std::uint32_t> perm_scratch;
+        // Simulated scratch of the SoA merge: a key plane plus two u32
+        // permutation planes, whichever strategy runs on the host.
         rt::TempAlloc scratch_mem(
             mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-        const Key* mk = nullptr;
-        const std::uint32_t* mp = nullptr;
         if (merge_algo == MergeAlgo::kParallelKway) {
-          // Single pass: splitter search + per-range loser trees. The DES
-          // sorter has no real pool, so the per-range split is exercised
-          // for real (sequentially here) with the simulated machine's
-          // thread count, while the cost model charges it as parallel.
-          const auto kres = sort::parallel_kway_merge_soa(
-              recv_keys, perm, bounds, key_scratch, perm_scratch, comp_,
-              /*pool=*/nullptr, /*ranges=*/m.threads());
-          mk = key_scratch.data();
-          mp = perm_scratch.data();
-          if (telemetry) {
-            reg.counter("sort.merge.kway_ranges").inc(kres.ranges);
-            reg.counter("sort.merge.kway_select_rounds")
-                .inc(kres.select_rounds);
+          // One loser-tree pass over the received runs writes the output
+          // Items directly. emit(pos, s) names the source member, so the
+          // provenance of receive position pos is src_lo[s] + (pos -
+          // offsets[s]): one add (on the two-hop path, the origin plane at
+          // pos). The cost model charges the simulated machine's
+          // thread-parallel split; the host (one DES thread) needs no split.
+          std::vector<std::uint32_t> src_rank(q);
+          std::vector<std::uint64_t> src_shift(q);  // src_lo[s] - offsets[s]
+          for (std::size_t s = 0; s < q; ++s) {
+            src_rank[s] = static_cast<std::uint32_t>(ctx.scope[s]);
+            src_shift[s] = src_lo[s] - offsets[s];
           }
+          std::vector<std::size_t> merge_cursor(offsets.begin(),
+                                                offsets.end() - 1);
+          std::size_t o = 0;
+          sort::kway_merge_range(
+              recv_keys.data(), std::span<const std::size_t>(offsets),
+              std::span<std::size_t>(merge_cursor), total_recv, comp_,
+              [&](std::size_t pos, std::size_t s) {
+                out[o++] = ItemT{recv_keys[pos],
+                                 xprov ? unpack_prov(recv_prov[pos])
+                                       : Provenance{src_rank[s],
+                                                    src_shift[s] + pos}};
+              });
           co_await m.charge_parallel_kway_merge(total_recv, runs);
         } else {
-          // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes
-          // per element instead of sizeof(Item).
+          // Fig. 2 pairwise tree: bare keys + a u32 permutation move as SoA
+          // planes, each level moving sizeof(Key) + 4 bytes per element
+          // instead of sizeof(Item); the output partition is then written
+          // from the result planes, with provenance reconstructed from each
+          // element's pre-merge position.
+          std::vector<std::uint32_t> perm(total_recv);
+          std::iota(perm.begin(), perm.end(), 0u);
+          std::vector<Key> key_scratch;
+          std::vector<std::uint32_t> perm_scratch;
           const auto res = sort::balanced_merge_soa(
-              recv_keys, perm, std::move(bounds), key_scratch, perm_scratch,
-              comp_);
-          mk = (res.in_scratch ? key_scratch : recv_keys).data();
-          mp = (res.in_scratch ? perm_scratch : perm).data();
+              recv_keys, perm, offsets, key_scratch, perm_scratch, comp_);
+          const Key* mk = (res.in_scratch ? key_scratch : recv_keys).data();
+          const std::uint32_t* mp =
+              (res.in_scratch ? perm_scratch : perm).data();
           co_await m.charge_balanced_merge(total_recv, runs);
-        }
-        for (std::size_t i = 0; i < total_recv; ++i) {
-          const std::size_t pos = mp[i];
-          if (xprov) {
-            out[i] = ItemT{mk[i], unpack_prov(recv_prov[pos])};
-            continue;
+          for (std::size_t i = 0; i < total_recv; ++i) {
+            const std::size_t pos = mp[i];
+            if (xprov) {
+              out[i] = ItemT{mk[i], unpack_prov(recv_prov[pos])};
+              continue;
+            }
+            const std::size_t s =
+                static_cast<std::size_t>(
+                    std::upper_bound(offsets.begin(), offsets.end(), pos) -
+                    offsets.begin()) -
+                1;
+            out[i] =
+                ItemT{mk[i],
+                      Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
+                                 src_lo[s] + (pos - offsets[s])}};
           }
-          const std::size_t s =
-              static_cast<std::size_t>(
-                  std::upper_bound(offsets.begin(), offsets.end(), pos) -
-                  offsets.begin()) -
-              1;
-          out[i] =
-              ItemT{mk[i],
-                    Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
-                               src_lo[s] + (pos - offsets[s])}};
         }
       } else {
+        // AoS: Item records, built during placement, merge whole. The
+        // sequential k-way engine runs for both k-way strategies; only the
+        // simulated charge tells them apart.
         std::vector<ItemT> scratch;
         rt::TempAlloc scratch_mem(mem, total_recv * sizeof(ItemT));
         auto item_less = [this](const ItemT& a, const ItemT& b) {
           return comp_(a.key, b.key);
         };
-        if (merge_algo == MergeAlgo::kParallelKway) {
-          const auto kres = sort::parallel_kway_merge(
-              out, bounds, scratch, item_less, /*pool=*/nullptr,
-              /*ranges=*/m.threads());
-          out.swap(scratch);
-          if (telemetry) {
-            reg.counter("sort.merge.kway_ranges").inc(kres.ranges);
-            reg.counter("sort.merge.kway_select_rounds")
-                .inc(kres.select_rounds);
-          }
-          co_await m.charge_parallel_kway_merge(total_recv, runs);
-        } else if (merge_algo == MergeAlgo::kPairwiseTree) {
-          sort::balanced_merge(out, std::move(bounds), scratch, item_less);
+        if (merge_algo == MergeAlgo::kPairwiseTree) {
+          sort::balanced_merge(out, offsets, scratch, item_less);
           co_await m.charge_balanced_merge(total_recv, runs);
         } else {
-          // Ablation: one sequential k-way loser-tree pass (real kernel).
-          sort::kway_merge(out, bounds, scratch, item_less);
-          co_await m.charge_naive_kway_merge(total_recv, runs);
+          sort::kway_merge(out, offsets, scratch, item_less);
+          if (merge_algo == MergeAlgo::kParallelKway)
+            co_await m.charge_parallel_kway_merge(total_recv, runs);
+          else
+            co_await m.charge_naive_kway_merge(total_recv, runs);
         }
       }
       if (telemetry)
@@ -2245,61 +2241,16 @@ class DistributedSorter {
     stamp(Step::kFinalMerge, total_recv * kStoredBytesPerItem);
 
     // ---- Exactly-once audit -------------------------------------------------
-    // Provenance makes delivery auditable: for every source, the previous
-    // indices present in the merged output must be recv_counts[src]
-    // distinct contiguous integers — any drop, duplicate, or misplacement
-    // by the exchange (or the reliable-delivery layer under fault
-    // injection, or a hedged re-send slipping past dedup) breaks that.
-    // Pure host-side verification; costs no simulated time.
+    // Pure host-side verification (core/exactly_once.hpp); costs no
+    // simulated time. Two-hop provenance names origin ranks anywhere in the
+    // attempt membership, so that path audits origin distinctness.
     if (cfg_.audit_exchange) {
-      if (xprov) {
-        // Two-hop provenance names origin ranks anywhere in the attempt
-        // membership (not just this scope), and the level-1 merge destroys
-        // per-source contiguity — audit origin distinctness instead: a
-        // dropped-then-rehedged or duplicated delivery shows up as a
-        // repeated (machine, index) pair. Global coverage (every origin
-        // index present exactly once, cluster-wide) is the host validator's
-        // job; per-partition the strongest invariant is distinctness.
-        std::vector<std::vector<std::uint64_t>> prev_indices(p);
-        for (const ItemT& item : out) {
-          PGXD_CHECK(item.prov.prev_machine < p);
-          prev_indices[item.prov.prev_machine].push_back(
-              item.prov.prev_index);
-        }
-        std::uint64_t attributed = 0;
-        for (std::size_t s = 0; s < p; ++s) {
-          auto& v = prev_indices[s];
-          attributed += v.size();
-          std::sort(v.begin(), v.end());
-          for (std::size_t i = 1; i < v.size(); ++i)
-            PGXD_CHECK_MSG(v[i] != v[i - 1],
-                           "exactly-once audit: an element was duplicated "
-                           "in the two-hop exchange");
-        }
-        PGXD_CHECK(attributed == total_recv);
-      } else {
-        std::vector<std::vector<std::uint64_t>> prev_indices(q);
-        for (std::size_t s = 0; s < q; ++s)
-          prev_indices[s].reserve(recv_counts[s]);
-        for (const ItemT& item : out) {
-          PGXD_CHECK(item.prov.prev_machine < p);
-          const std::size_t sj = midx[item.prov.prev_machine];
-          PGXD_CHECK_MSG(sj < q,
-                         "exactly-once audit: element attributed to a rank "
-                         "outside the attempt membership");
-          prev_indices[sj].push_back(item.prov.prev_index);
-        }
-        for (std::size_t s = 0; s < q; ++s) {
-          PGXD_CHECK_MSG(prev_indices[s].size() == recv_counts[s],
-                         "exactly-once audit: received element count from a "
-                         "source disagrees with its announced count");
-          std::sort(prev_indices[s].begin(), prev_indices[s].end());
-          for (std::size_t i = 1; i < prev_indices[s].size(); ++i)
-            PGXD_CHECK_MSG(prev_indices[s][i] == prev_indices[s][i - 1] + 1,
-                           "exactly-once audit: an element was duplicated or "
-                           "lost in the exchange");
-        }
-      }
+      const std::span<const ItemT> items(out);
+      if (xprov)
+        audit_distinct_origins(items, p);
+      else
+        audit_exactly_once(items, std::span<const std::size_t>(midx),
+                           std::span<const std::uint64_t>(recv_counts));
     }
 
     ms.peak_persistent_bytes = mem.peak_persistent();

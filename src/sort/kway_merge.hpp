@@ -4,11 +4,13 @@
 //
 // The tournament engine is exposed as a *range* primitive
 // (`kway_merge_range`): it starts from arbitrary per-run cursors and emits
-// exactly `count` elements in merged order. `kway_merge` runs one engine
-// over the whole buffer (the sequential merge-strategy ablation);
-// sort/parallel_kway_merge.hpp cuts the output into per-thread ranges via
-// multisequence selection and runs one engine per range — the single-pass
-// parallel final merge.
+// exactly `count` elements in merged order, each with the run it came
+// from. `kway_merge` runs one engine over the whole buffer (the sequential
+// merge-strategy ablation); sort/parallel_kway_merge.hpp cuts the output
+// into per-thread ranges via multisequence selection and runs one engine
+// per range — the single-pass parallel merge. The distributed sorter's
+// final merge runs one engine over a whole partition and builds each
+// output Item, provenance included, from emit(pos, run).
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -17,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -29,12 +32,37 @@ struct KwayMergeStats {
   std::uint64_t comparisons = 0;
 };
 
+namespace detail {
+
+// Branch-free select for the tournament's hot loop: integral values go
+// through a mask (GCC turns the ternary into a jump there), anything else
+// through the ternary.
+template <typename T>
+inline T pick(bool c, T a, T b) {
+  if constexpr (std::is_integral_v<T>) {
+    const auto mask = static_cast<T>(T{0} - static_cast<T>(c));
+    return static_cast<T>(b ^ ((a ^ b) & mask));
+  } else {
+    return c ? a : b;
+  }
+}
+
+}  // namespace detail
+
 // Tournament engine: merges the next `count` elements of the k-way merge of
 // the sorted runs over `keys` described by `bounds` (size R+1; run r is
 // [bounds[r], bounds[r+1])), starting from `cursor` (size R, with
 // bounds[r] <= cursor[r] <= bounds[r+1]; advanced in place). Emits each
-// element's *source position* in ascending merged order: emit(pos) with
-// keys[pos] the next element. Returns the comparison count.
+// element's *source position* and *run* in ascending merged order:
+// emit(pos, r) with keys[pos] the next element and
+// bounds[r] <= pos < bounds[r+1]. Returns the comparison count.
+//
+// Loser tree with cached heads: every internal node holds its loser's head
+// key and a tag (the run index, with kDead set once the run is exhausted or
+// for padding), and the current winner's key and tag live in locals. A
+// match therefore compares two cached keys, and the replay picks the new
+// winner with masked selects instead of branches — random keys make those
+// branches mispredict about half the time.
 //
 // Stability: ties resolve to the lower run index — the same convention as
 // merge_into / the Fig. 2 tree, and the one kway_select's boundary cursors
@@ -50,59 +78,77 @@ std::uint64_t kway_merge_range(const K* keys,
   std::uint64_t comparisons = 0;
   if (count == 0) return comparisons;
   if (runs == 1) {
-    for (std::size_t i = 0; i < count; ++i) emit(cursor[0]++);
+    for (std::size_t i = 0; i < count; ++i) emit(cursor[0]++, std::size_t{0});
     PGXD_DCHECK(cursor[0] <= bounds[1]);
     return comparisons;
   }
 
-  // Tournament tree over k leaves (padded to a power of two with exhausted
-  // sentinels). losers[i] holds the losing run index at internal node i;
-  // the overall winner is tracked separately.
+  // k leaves, padded to a power of two with dead sentinels; internal node i
+  // (1..k-1) holds its match's loser.
   const std::size_t k = std::bit_ceil(runs);
-  auto exhausted = [&](std::size_t r) {
-    return r >= runs || cursor[r] >= bounds[r + 1];
+  constexpr std::size_t kDead = std::size_t{1} << 63;
+  auto head = [&](std::size_t r, K& key, std::size_t& tag) {
+    if (r < runs && cursor[r] < bounds[r + 1]) {
+      key = keys[cursor[r]];
+      tag = r;
+    } else {
+      tag = r | kDead;
+    }
   };
-  // Comparison with stability: run a beats run b if a's head < b's head, or
-  // equal heads with a < b. An exhausted run always loses.
-  auto beats = [&](std::size_t a, std::size_t b) {
-    if (exhausted(b)) return true;
-    if (exhausted(a)) return false;
-    ++comparisons;
-    if (comp(keys[cursor[a]], keys[cursor[b]])) return true;
-    if (comp(keys[cursor[b]], keys[cursor[a]])) return false;
-    return a < b;
+  // (ck, ct) beats (wk, wt) if its key is smaller, or keys are equal and
+  // its run is lower. A dead run always loses; a comparison is counted
+  // only between live runs.
+  auto beats = [&](const K& ck, std::size_t ct, const K& wk, std::size_t wt) {
+    const bool lt = comp(ck, wk);
+    const bool gt = comp(wk, ck);
+    comparisons += ((ct | wt) >> 63) ^ 1;
+    return ((wt >> 63) | (((ct >> 63) ^ 1) & (lt | (!gt & (ct < wt))))) != 0;
   };
 
-  // Build: play the tournament bottom-up.
-  std::vector<std::size_t> losers(k, k);  // internal nodes, index 1..k-1 used
-  std::size_t winner;
+  std::vector<K> node_key(k);
+  std::vector<std::size_t> node_tag(k, kDead);
+  K win_key{};
+  std::size_t win_tag = kDead;
   {
-    std::vector<std::size_t> level(k);
-    for (std::size_t i = 0; i < k; ++i) level[i] = i;
+    // Build: play the tournament bottom-up.
+    std::vector<K> level_key(k);
+    std::vector<std::size_t> level_tag(k);
+    for (std::size_t i = 0; i < k; ++i) head(i, level_key[i], level_tag[i]);
     std::size_t width = k;
     std::size_t node_base = k;
     while (width > 1) {
       width /= 2;
       node_base /= 2;
       for (std::size_t i = 0; i < width; ++i) {
-        const std::size_t a = level[2 * i], b = level[2 * i + 1];
-        const bool a_wins = beats(a, b);
-        losers[node_base + i] = a_wins ? b : a;
-        level[i] = a_wins ? a : b;
+        const std::size_t a = 2 * i, b = 2 * i + 1;
+        const bool a_wins =
+            beats(level_key[a], level_tag[a], level_key[b], level_tag[b]);
+        const std::size_t win = a_wins ? a : b, lose = a_wins ? b : a;
+        node_key[node_base + i] = level_key[lose];
+        node_tag[node_base + i] = level_tag[lose];
+        level_key[i] = level_key[win];
+        level_tag[i] = level_tag[win];
       }
     }
-    winner = level[0];
+    win_key = level_key[0];
+    win_tag = level_tag[0];
   }
 
   for (std::size_t out = 0; out < count; ++out) {
-    PGXD_DCHECK(!exhausted(winner));
-    emit(cursor[winner]);
-    ++cursor[winner];
+    PGXD_DCHECK((win_tag & kDead) == 0);
+    const std::size_t r = win_tag;
+    emit(cursor[r], r);
+    ++cursor[r];
+    head(r, win_key, win_tag);
     // Replay the winner's path to the root.
-    std::size_t node = (k + winner) / 2;
-    while (node >= 1) {
-      if (beats(losers[node], winner)) std::swap(losers[node], winner);
-      node /= 2;
+    for (std::size_t node = (k + r) / 2; node >= 1; node /= 2) {
+      const K ck = node_key[node];
+      const std::size_t ct = node_tag[node];
+      const bool swap = beats(ck, ct, win_key, win_tag);
+      node_key[node] = detail::pick(swap, win_key, ck);
+      node_tag[node] = detail::pick(swap, win_tag, ct);
+      win_key = detail::pick(swap, ck, win_key);
+      win_tag = detail::pick(swap, ct, win_tag);
     }
   }
   return comparisons;
@@ -130,7 +176,7 @@ KwayMergeStats kway_merge(std::vector<T>& data,
   stats.comparisons = kway_merge_range(
       data.data(), std::span<const std::size_t>(bounds),
       std::span<std::size_t>(cursor), data.size(), comp,
-      [&](std::size_t pos) { scratch[out++] = data[pos]; });
+      [&](std::size_t pos, std::size_t) { scratch[out++] = data[pos]; });
   data.swap(scratch);
   return stats;
 }

@@ -208,7 +208,9 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
     const std::size_t k1 = n * (i + 1) / ranges;
     std::size_t out = k0;
     comps[i] = kway_merge_range(src.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos) { dst[out++] = src[pos]; });
+                                [&](std::size_t pos, std::size_t) {
+                                  dst[out++] = src[pos];
+                                });
   };
   if (pool != nullptr && ranges > 1)
     pool->run_all(ranges, run_range);
@@ -219,8 +221,8 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
   return stats;
 }
 
-// SoA variant for the distributed final merge: bare keys plus the compact
-// u32 permutation move through ONE pass (sizeof(Key) + 4 bytes per element,
+// SoA variant: bare keys plus the compact u32 permutation move through ONE
+// pass (sizeof(Key) + 4 bytes per element,
 // once — versus once per level in balanced_merge_soa). The merged result
 // always lands in (key_out, perm_out); there is no ping-pong and no
 // copy-back, the caller reads the output planes directly (the same
@@ -263,7 +265,7 @@ ParallelKwayMergeStats parallel_kway_merge_soa(
     const std::size_t k1 = n * (i + 1) / ranges;
     std::size_t out = k0;
     comps[i] = kway_merge_range(keys.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos) {
+                                [&](std::size_t pos, std::size_t) {
                                   key_out[out] = keys[pos];
                                   perm_out[out] = perm[pos];
                                   ++out;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,9 +49,8 @@ std::vector<std::vector<Key>> make_shards(gen::Distribution dist,
 // Asserts the three core postconditions: (a) each partition sorted, (b)
 // machine m's max <= machine m+1's min, (c) output is a permutation of the
 // input, (d) provenance points back at the exact source element.
-void verify_sorted(const Sorter& sorter,
-                   const std::vector<std::vector<Key>>& input) {
-  const auto& parts = sorter.partitions();
+void verify_sorted_parts(const std::vector<std::vector<Item<Key>>>& parts,
+                         const std::vector<std::vector<Key>>& input) {
 
   // (a) + (b): global order across machines.
   const Key* prev_max = nullptr;
@@ -85,6 +86,11 @@ void verify_sorted(const Sorter& sorter,
       ASSERT_LT(item.prov.prev_index, shard.size());
       ASSERT_EQ(shard[item.prov.prev_index], item.key);
     }
+}
+
+void verify_sorted(const Sorter& sorter,
+                   const std::vector<std::vector<Key>>& input) {
+  verify_sorted_parts(sorter.partitions(), input);
 }
 
 class DistributionSweep
@@ -632,6 +638,93 @@ TEST_F(ApiTest, MachineRangesAscend) {
 // Table II's headline result on the right-skewed distribution: per-rank load
 // stays within 1% of uniform (max/min <= 1.01) at p=10, and the flight
 // recorder reports it that way.
+// The fused k-way final merge writes each Item's provenance straight from
+// the tournament (emit(pos, run)). Two independent oracles hold it: the
+// SoA pairwise tree, which recovers each source from its pre-merge
+// position, and the AoS record merge, which carries provenance from
+// placement. All three must produce the same partitions, keys and
+// provenance alike. The AoS k-way path charges the same simulated costs as
+// the fused one, so every per-machine phase time must match it exactly;
+// against the tree only the final-merge charge may differ.
+struct FinalMergeCase {
+  std::size_t machines;
+  gen::Distribution dist;
+  PartitionScheme scheme;
+};
+
+class FinalMergeOracle : public ::testing::TestWithParam<FinalMergeCase> {};
+
+TEST_P(FinalMergeOracle, FusedKwayMatchesTreeAndAos) {
+  const auto param = GetParam();
+  const auto shards =
+      make_shards(param.dist, 2000 * param.machines, param.machines, 17);
+  struct Run {
+    std::vector<std::vector<Item<Key>>> parts;
+    std::vector<StepTimings> steps;
+  };
+  auto run = [&](MergeAlgo algo, bool soa) {
+    rt::Cluster<Sorter::Msg> cluster(test_cluster(param.machines));
+    SortConfig cfg;
+    cfg.final_merge = algo;
+    cfg.soa_final_merge = soa;
+    cfg.partition = param.scheme;
+    Sorter sorter(cluster, cfg);
+    sorter.run(shards);
+    Run r{sorter.partitions(), {}};
+    for (const auto& ms : sorter.stats().machines) r.steps.push_back(ms.steps);
+    return r;
+  };
+  const Run fused = run(MergeAlgo::kParallelKway, /*soa=*/true);
+  const Run tree = run(MergeAlgo::kPairwiseTree, /*soa=*/true);
+  const Run aos = run(MergeAlgo::kParallelKway, /*soa=*/false);
+  verify_sorted_parts(fused.parts, shards);
+
+  for (const Run* other : {&tree, &aos}) {
+    const char* name = other == &tree ? "pairwise tree" : "AoS k-way";
+    ASSERT_EQ(fused.parts.size(), other->parts.size()) << name;
+    for (std::size_t m = 0; m < fused.parts.size(); ++m) {
+      ASSERT_EQ(fused.parts[m].size(), other->parts[m].size()) << name;
+      for (std::size_t i = 0; i < fused.parts[m].size(); ++i) {
+        ASSERT_EQ(fused.parts[m][i].key, other->parts[m][i].key)
+            << name << " machine " << m << " index " << i;
+        ASSERT_EQ(fused.parts[m][i].prov, other->parts[m][i].prov)
+            << name << " machine " << m << " index " << i;
+      }
+    }
+  }
+  for (std::size_t m = 0; m < param.machines; ++m) {
+    EXPECT_EQ(fused.steps[m].t, aos.steps[m].t) << "machine " << m;
+    for (std::size_t s = 0; s < kStepCount; ++s) {
+      if (static_cast<Step>(s) == Step::kFinalMerge) continue;
+      EXPECT_EQ(fused.steps[m].t[s], tree.steps[m].t[s])
+          << "machine " << m << " step " << s;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapesAndSchemes, FinalMergeOracle,
+    ::testing::ValuesIn([] {
+      std::vector<FinalMergeCase> cases;
+      for (auto dist : {gen::Distribution::kUniform, gen::Distribution::kZipf,
+                        gen::Distribution::kFewDistinct}) {
+        for (std::size_t machines : {1, 4, 52})
+          cases.push_back({machines, dist, PartitionScheme::kOneLevelSample});
+        cases.push_back({16, dist, PartitionScheme::kTwoLevelAms});
+      }
+      return cases;
+    }()),
+    [](const ::testing::TestParamInfo<FinalMergeCase>& tp) {
+      std::string name = std::string(gen::name(tp.param.dist)) + "_p" +
+                         std::to_string(tp.param.machines);
+      if (tp.param.scheme == PartitionScheme::kTwoLevelAms) name += "_ams";
+      std::string safe;
+      for (char c : name)
+        if (std::isalnum(static_cast<unsigned char>(c)) || c == '_')
+          safe += c;
+      return safe;
+    });
+
 TEST(SortReport, RightSkewedLoadMaxOverMinWithinOnePercent) {
   const std::size_t machines = 10;
   const std::size_t total_n = 100000;

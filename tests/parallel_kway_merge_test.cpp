@@ -1,12 +1,15 @@
 // Tests for the single-pass parallel k-way merge: the multisequence
 // selection (kway_select), bit-identical agreement with the Fig. 2 pairwise
 // tree on both planes (keys AND permutation — provenance rides the perm),
-// and the per-range split under a real thread pool (TSan coverage).
+// the cached-head tournament engine against the engine it replaced, and
+// the per-range split under a real thread pool (TSan coverage).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,6 +43,91 @@ RunSet make_runs(std::size_t runs, std::size_t max_per_run, std::uint64_t seed,
     rs.bounds.push_back(rs.keys.size());
   }
   return rs;
+}
+
+// The tournament engine before it cached node keys (one heap index per
+// node, heads read through cursor -> keys, two comp calls per match), kept
+// as the oracle the cached-head engine must reproduce: same emitted order,
+// same comparison count.
+template <typename K, typename Comp, typename Emit>
+std::uint64_t legacy_kway_merge_range(const K* keys,
+                                      std::span<const std::size_t> bounds,
+                                      std::span<std::size_t> cursor,
+                                      std::size_t count, Comp comp,
+                                      Emit&& emit) {
+  const std::size_t runs = bounds.size() - 1;
+  std::uint64_t comparisons = 0;
+  if (count == 0) return comparisons;
+  if (runs == 1) {
+    for (std::size_t i = 0; i < count; ++i) emit(cursor[0]++);
+    return comparisons;
+  }
+  const std::size_t k = std::bit_ceil(runs);
+  auto exhausted = [&](std::size_t r) {
+    return r >= runs || cursor[r] >= bounds[r + 1];
+  };
+  auto beats = [&](std::size_t a, std::size_t b) {
+    if (exhausted(b)) return true;
+    if (exhausted(a)) return false;
+    ++comparisons;
+    if (comp(keys[cursor[a]], keys[cursor[b]])) return true;
+    if (comp(keys[cursor[b]], keys[cursor[a]])) return false;
+    return a < b;
+  };
+  std::vector<std::size_t> losers(k, k);
+  std::vector<std::size_t> level(k);
+  for (std::size_t i = 0; i < k; ++i) level[i] = i;
+  for (std::size_t width = k, node_base = k; width > 1;) {
+    width /= 2;
+    node_base /= 2;
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::size_t a = level[2 * i], b = level[2 * i + 1];
+      const bool a_wins = beats(a, b);
+      losers[node_base + i] = a_wins ? b : a;
+      level[i] = a_wins ? a : b;
+    }
+  }
+  std::size_t winner = level[0];
+  for (std::size_t out = 0; out < count; ++out) {
+    emit(cursor[winner]);
+    ++cursor[winner];
+    for (std::size_t node = (k + winner) / 2; node >= 1; node /= 2)
+      if (beats(losers[node], winner)) std::swap(losers[node], winner);
+  }
+  return comparisons;
+}
+
+// Runs both engines over the whole of `rs` and checks the cached-head one
+// against the legacy oracle: keys, permutation, comparison count, and that
+// every emit(pos, run) names the run holding pos.
+void expect_engine_matches_legacy(const RunSet& rs) {
+  const std::size_t runs = rs.bounds.size() - 1;
+  const std::size_t n = rs.keys.size();
+  const std::span<const std::size_t> bspan(rs.bounds);
+  std::vector<std::size_t> want_cur(rs.bounds.begin(), rs.bounds.end() - 1);
+  std::vector<std::uint32_t> want_perm;
+  const auto want_comps = legacy_kway_merge_range(
+      rs.keys.data(), bspan, std::span<std::size_t>(want_cur), n, Less{},
+      [&](std::size_t pos) {
+        want_perm.push_back(static_cast<std::uint32_t>(pos));
+      });
+  std::vector<std::size_t> cur(rs.bounds.begin(), rs.bounds.end() - 1);
+  std::vector<std::uint32_t> perm;
+  std::vector<std::uint64_t> keys;
+  std::size_t wrong_run = 0;
+  const auto comps = kway_merge_range(
+      rs.keys.data(), bspan, std::span<std::size_t>(cur), n, Less{},
+      [&](std::size_t pos, std::size_t run) {
+        perm.push_back(static_cast<std::uint32_t>(pos));
+        keys.push_back(rs.keys[pos]);
+        if (run >= runs || pos < rs.bounds[run] || pos >= rs.bounds[run + 1])
+          ++wrong_run;
+      });
+  EXPECT_EQ(perm, want_perm);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(comps, want_comps);
+  EXPECT_EQ(wrong_run, 0u);
+  EXPECT_EQ(cur, want_cur);
 }
 
 // Reference: the Fig. 2 pairwise SoA tree, whose output (both planes) the
@@ -115,6 +203,13 @@ TEST_P(ParallelKwaySweep, BitIdenticalToPairwiseTree) {
   }
 }
 
+TEST_P(ParallelKwaySweep, EngineMatchesLegacyEngine) {
+  const auto [runs, domain] = GetParam();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    expect_engine_matches_legacy(make_runs(runs, 1200, seed * 131 + runs,
+                                           domain));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RunsByDomain, ParallelKwaySweep,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 5, 8, 16, 32,
@@ -122,6 +217,51 @@ INSTANTIATE_TEST_SUITE_P(
                        // full-width, tie-heavy, and single-value keys
                        ::testing::Values(std::uint64_t{1} << 40,
                                          std::uint64_t{40}, std::uint64_t{1})));
+
+TEST(KwayMergeEngine, ManyTinyRunsMatchLegacyEngine) {
+  // The scale_p1024 shape: 1024 runs of 4 keys each.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_engine_matches_legacy(make_runs(1024, 4, seed, std::uint64_t{1} << 40,
+                                           /*allow_empty=*/false));
+    expect_engine_matches_legacy(make_runs(1024, 4, seed, 1 << 12,
+                                           /*allow_empty=*/false));
+  }
+}
+
+TEST(KwayMergeEngine, DupHeavyWithEmptyRunsMatchLegacyEngine) {
+  // Few distinct keys across runs of uneven length, every third run empty.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    RunSet rs;
+    rs.bounds.assign(1, 0);
+    for (std::size_t r = 0; r < 37; ++r) {
+      std::vector<std::uint64_t> run(r % 3 == 0 ? 0 : rng.bounded(900));
+      for (auto& x : run) x = rng.bounded(4);
+      std::sort(run.begin(), run.end());
+      rs.keys.insert(rs.keys.end(), run.begin(), run.end());
+      rs.bounds.push_back(rs.keys.size());
+    }
+    expect_engine_matches_legacy(rs);
+  }
+}
+
+TEST(KwayMergeEngine, ResumesFromInteriorCursors) {
+  // Two consecutive calls over one cursor set emit what one call does.
+  const RunSet rs = make_runs(11, 500, 5, /*domain=*/30);
+  const std::size_t n = rs.keys.size();
+  const std::span<const std::size_t> bspan(rs.bounds);
+  std::vector<std::size_t> whole(n), split(n);
+  std::vector<std::size_t> cur(rs.bounds.begin(), rs.bounds.end() - 1);
+  std::size_t o = 0;
+  kway_merge_range(rs.keys.data(), bspan, std::span<std::size_t>(cur), n,
+                   Less{}, [&](std::size_t pos, std::size_t) { whole[o++] = pos; });
+  cur.assign(rs.bounds.begin(), rs.bounds.end() - 1);
+  o = 0;
+  for (std::size_t part : {n / 3, n - n / 3})
+    kway_merge_range(rs.keys.data(), bspan, std::span<std::size_t>(cur), part,
+                     Less{}, [&](std::size_t pos, std::size_t) { split[o++] = pos; });
+  EXPECT_EQ(split, whole);
+}
 
 TEST(ParallelKwayMerge, PresortedAndEmptyRuns) {
   // Presorted: run r's keys all below run r+1's (splitters land on run
