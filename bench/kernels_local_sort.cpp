@@ -1,14 +1,18 @@
 // Microbenchmarks (google-benchmark) of the real local sorting kernels:
-// quicksort, TimSort, the balanced merge handler, and Merge-Path parallel
-// merge. These are the kernels the simulator's cost model is calibrated
-// against (runtime/cost_model.cpp).
+// quicksort, TimSort, the balanced merge handler, Merge-Path parallel merge
+// and the range-split k-way merge on a fork-join pool. These are the
+// kernels the simulator's cost model is calibrated against
+// (runtime/cost_model.cpp).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/provenance.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/local_sort.hpp"
 #include "sort/merge.hpp"
@@ -368,6 +372,61 @@ void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
                           static_cast<std::int64_t>(base.size()));
 }
 BENCHMARK(BM_ParallelKwayMergeSoaSeq)->Arg(32);
+
+// The sorter's fused final merge at paper_p52's per-rank shape: 52
+// received runs of 1600 keys merged by the range-split loser tree straight
+// into Item records with their provenance. Second arg: host pool workers
+// (0 = one serial loser tree, as below the dispatch threshold).
+void BM_FusedFinalMerge(benchmark::State& state) {
+  using Item = pgxd::core::Item<std::uint64_t>;
+  const auto runs = static_cast<std::size_t>(state.range(0));
+  const auto workers = static_cast<unsigned>(state.range(1));
+  constexpr std::size_t kPerRun = 1600;
+  Rng rng(52);
+  std::vector<std::uint64_t> keys;
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t r = 0; r < runs; ++r) {
+    std::vector<std::uint64_t> run(kPerRun);
+    for (auto& x : run) x = rng.next();
+    std::sort(run.begin(), run.end());
+    keys.insert(keys.end(), run.begin(), run.end());
+    bounds.push_back(keys.size());
+  }
+  std::vector<Item> out(keys.size());
+  pgxd::ThreadPool pool(workers);
+  const std::size_t ranges =
+      workers == 0 ? 1 : pgxd::sort::host_merge_ranges(keys.size());
+  for (auto _ : state) {
+    pgxd::sort::kway_merge_split(
+        keys.data(), std::span<const std::size_t>(bounds), ranges,
+        pgxd::sort::Less{},
+        [&](std::size_t o, std::size_t pos, std::size_t s) {
+          out[o] = Item{keys[pos],
+                        pgxd::core::Provenance{static_cast<std::uint32_t>(s),
+                                               pos - bounds[s]}};
+        },
+        &pool);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_FusedFinalMerge)->Args({52, 0})->Args({52, 3});
+
+// Fork-join round trip: one run_all over 4 empty indices on a 3-worker
+// pool, back to back, so workers are still spinning when the next job
+// lands. Items are round trips.
+void BM_RunAllRoundTrip(benchmark::State& state) {
+  pgxd::ThreadPool pool(3);
+  std::atomic<std::uint64_t> sink{0};
+  for (auto _ : state)
+    pool.run_all(4, [&](std::size_t i) {
+      sink.fetch_add(i, std::memory_order_relaxed);
+    });
+  benchmark::DoNotOptimize(sink.load());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RunAllRoundTrip);
 
 void BM_ParallelMergePieces(benchmark::State& state) {
   const auto pieces = static_cast<std::size_t>(state.range(0));

@@ -47,6 +47,7 @@
 
 #include "common/assert.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "core/config.hpp"
 #include "core/exactly_once.hpp"
 #include "core/provenance.hpp"
@@ -60,6 +61,7 @@
 #include "sort/balanced_merge.hpp"
 #include "sort/kway_merge.hpp"
 #include "sort/local_sort.hpp"
+#include "sort/parallel_kway_merge.hpp"
 #include "sort/quicksort.hpp"
 #include "sort/samples.hpp"
 #include "sort/soa_merge.hpp"
@@ -151,10 +153,14 @@ class DistributedSorter {
   static constexpr std::uint64_t kStoredBytesPerItem =
       sizeof(Key) + kProvenanceBytes;
 
+  // `host` runs the large per-rank merges on real threads (see
+  // docs/ARCHITECTURE.md, "Host parallelism"); it changes host time only,
+  // never a simulated number or the output. nullptr means the process-wide
+  // host_pool(), created on first use; tests pass a 0-worker pool.
   DistributedSorter(Cluster& cluster, SortConfig cfg, int sort_id = 0,
-                    Comp comp = {})
+                    Comp comp = {}, ThreadPool* host = nullptr)
       : cluster_(cluster), cfg_(cfg), base_tag_(sort_id * kTagStride),
-        comp_(comp) {
+        comp_(comp), host_(host) {
     const std::string why = cfg_.validate();
     PGXD_CHECK_MSG(why.empty(), why.c_str());
     const std::size_t p = cluster_.size();
@@ -1478,52 +1484,20 @@ class DistributedSorter {
           if (telemetry)
             reg.counter("sort.partition.level1_items").inc(l1_recv);
         }
-        local = std::move(merged);
-        // Re-establish the sorted-local invariant over the received runs,
-        // carrying each element's origin through the same permutation.
+        // Re-establish the sorted-local invariant over the received runs:
+        // one range-split loser-tree pass writes the keys and their origins
+        // together. The simulated machine still pays for the Fig. 2 tree's
+        // SoA scratch (a key plane and two u32 permutation planes).
         {
-          std::vector<std::size_t> bounds(roff.begin(), roff.end());
-          auto key_less = [this](const Key& a, const Key& b) {
-            return comp_(a, b);
-          };
-          if (l1_total <= std::numeric_limits<std::uint32_t>::max()) {
-            std::vector<std::uint32_t> perm(l1_total);
-            std::iota(perm.begin(), perm.end(), 0u);
-            std::vector<Key> kscr;
-            std::vector<std::uint32_t> pscr;
-            rt::TempAlloc scratch_mem(
-                mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-            const auto res = sort::balanced_merge_soa(
-                local, perm, std::move(bounds), kscr, pscr, key_less);
-            if (res.in_scratch) local = std::move(kscr);
-            const std::uint32_t* mp = (res.in_scratch ? pscr : perm).data();
-            std::vector<std::uint64_t> permuted(l1_total);
-            for (std::size_t i = 0; i < l1_total; ++i)
-              permuted[i] = mprov[mp[i]];
-            mprov = std::move(permuted);
-          } else {
-            // Beyond u32 indexing: merge (key, origin) records directly.
-            std::vector<ItemT> items(l1_total);
-            for (std::size_t i = 0; i < l1_total; ++i)
-              items[i] = ItemT{local[i], unpack_prov(mprov[i])};
-            std::vector<ItemT> scratch;
-            rt::TempAlloc scratch_mem(mem, l1_total * sizeof(ItemT));
-            auto item_less = [this](const ItemT& a, const ItemT& b) {
-              return comp_(a.key, b.key);
-            };
-            sort::balanced_merge(items, std::move(bounds), scratch,
-                                 item_less);
-            for (std::size_t i = 0; i < l1_total; ++i) {
-              local[i] = items[i].key;
-              mprov[i] =
-                  pack_prov(items[i].prov.prev_machine,
-                            items[i].prov.prev_index);
-            }
-          }
-          co_await m.charge_balanced_merge(
-              l1_total, std::max<std::size_t>(1, contrib.size()));
+          rt::TempAlloc scratch_mem(
+              mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
+          local.clear();  // resized by the merge, nothing copied over
+          sort::parallel_kway_merge_soa(merged, mprov, roff, local, lprov,
+                                        comp_, host_pool_ref(),
+                                        sort::host_merge_ranges(l1_total));
         }
-        lprov = std::move(mprov);
+        co_await m.charge_balanced_merge(
+            l1_total, std::max<std::size_t>(1, contrib.size()));
         two_hop = true;
         stamp(Step::kExchange, l1_wire_sent);
         scope.assign(
@@ -2151,30 +2125,29 @@ class DistributedSorter {
         rt::TempAlloc scratch_mem(
             mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
         if (merge_algo == MergeAlgo::kParallelKway) {
-          // One loser-tree pass over the received runs writes the output
-          // Items directly. emit(pos, s) names the source member, so the
+          // One range-split loser-tree pass over the received runs writes
+          // the output Items directly, on the host pool when the partition
+          // is large enough. emit(o, pos, s) names the source member, so the
           // provenance of receive position pos is src_lo[s] + (pos -
           // offsets[s]): one add (on the two-hop path, the origin plane at
           // pos). The cost model charges the simulated machine's
-          // thread-parallel split; the host (one DES thread) needs no split.
+          // thread-parallel split whatever the host did.
           std::vector<std::uint32_t> src_rank(q);
           std::vector<std::uint64_t> src_shift(q);  // src_lo[s] - offsets[s]
           for (std::size_t s = 0; s < q; ++s) {
             src_rank[s] = static_cast<std::uint32_t>(ctx.scope[s]);
             src_shift[s] = src_lo[s] - offsets[s];
           }
-          std::vector<std::size_t> merge_cursor(offsets.begin(),
-                                                offsets.end() - 1);
-          std::size_t o = 0;
-          sort::kway_merge_range(
+          sort::kway_merge_split(
               recv_keys.data(), std::span<const std::size_t>(offsets),
-              std::span<std::size_t>(merge_cursor), total_recv, comp_,
-              [&](std::size_t pos, std::size_t s) {
-                out[o++] = ItemT{recv_keys[pos],
-                                 xprov ? unpack_prov(recv_prov[pos])
-                                       : Provenance{src_rank[s],
-                                                    src_shift[s] + pos}};
-              });
+              sort::host_merge_ranges(total_recv), comp_,
+              [&](std::size_t o, std::size_t pos, std::size_t s) {
+                out[o] = ItemT{recv_keys[pos],
+                               xprov ? unpack_prov(recv_prov[pos])
+                                     : Provenance{src_rank[s],
+                                                  src_shift[s] + pos}};
+              },
+              host_pool_ref());
           co_await m.charge_parallel_kway_merge(total_recv, runs);
         } else {
           // Fig. 2 pairwise tree: bare keys + a u32 permutation move as SoA
@@ -2266,10 +2239,16 @@ class DistributedSorter {
     co_return;
   }
 
+  // The pool the large per-rank merges run on.
+  ThreadPool* host_pool_ref() const {
+    return host_ != nullptr ? host_ : &host_pool();
+  }
+
   Cluster& cluster_;
   SortConfig cfg_;
   int base_tag_;
   Comp comp_;
+  ThreadPool* host_;  // nullptr: host_pool()
   sim::Trace* trace_ = nullptr;
   std::vector<obs::MetricsRegistry> metrics_;  // one per rank
   std::vector<std::vector<Key>> input_;

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/distributed_sort.hpp"
 #include "sort/comparator.hpp"
 
@@ -67,10 +68,16 @@ bool provenance_is_bijection(
 // pays the full multiset check: both sides copied and sorted, O(n log n)
 // time and 2n extra keys, so the report names the first failure in the
 // order (c) permutation, (d) provenance.
+//
+// The per-shard copies and sorts run on `pool` (a ThreadPool(0) runs them
+// inline), one shard per task, with std::sort as the oracle — independent
+// of the sorter's own kernels. Storage is reserved on the calling thread,
+// so the workers never allocate.
 template <typename Key, typename Comp = sort::Less>
 ValidationReport validate_sorted(
     const std::vector<std::vector<Item<Key>>>& partitions,
-    const std::vector<std::vector<Key>>& input, Comp comp = {}) {
+    const std::vector<std::vector<Key>>& input, Comp comp = {},
+    ThreadPool* pool = &host_pool()) {
   ValidationReport report;
 
   // (a) per-partition order and (b) global order.
@@ -107,8 +114,15 @@ ValidationReport validate_sorted(
                      " elements, input had " + std::to_string(total_in);
     return report;
   }
-  std::vector<std::vector<Key>> sorted_shards = input;
-  for (auto& shard : sorted_shards) std::sort(shard.begin(), shard.end(), comp);
+  std::vector<std::vector<Key>> sorted_shards(input.size());
+  for (std::size_t m = 0; m < input.size(); ++m)
+    sorted_shards[m].reserve(input[m].size());
+  auto sort_shard = [&](std::size_t m) {
+    auto& shard = sorted_shards[m];
+    shard.assign(input[m].begin(), input[m].end());
+    std::sort(shard.begin(), shard.end(), comp);
+  };
+  pool->run_all(input.size(), sort_shard);
   if (detail::provenance_is_bijection(partitions, sorted_shards, comp)) {
     report.permutation_ok = true;
     report.provenance_ok = true;

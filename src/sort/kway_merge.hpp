@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -68,11 +69,18 @@ inline T pick(bool c, T a, T b) {
 // merge_into / the Fig. 2 tree, and the one kway_select's boundary cursors
 // assume, so disjoint ranges of one merge concatenate into exactly the
 // stable merge of the whole input.
+//
+// `node_key` and `node_tag` are the tree's storage, each at least
+// kway_tree_slots(R) long, so a caller that merges on pool workers can
+// pre-size them and the engine allocates nothing; the overload below
+// allocates its own.
 template <typename K, typename Comp, typename Emit>
 std::uint64_t kway_merge_range(const K* keys,
                                std::span<const std::size_t> bounds,
                                std::span<std::size_t> cursor,
-                               std::size_t count, Comp comp, Emit&& emit) {
+                               std::size_t count, Comp comp,
+                               std::span<K> node_key,
+                               std::span<std::size_t> node_tag, Emit&& emit) {
   const std::size_t runs = bounds.size() - 1;
   PGXD_DCHECK(cursor.size() == runs);
   std::uint64_t comparisons = 0;
@@ -105,14 +113,14 @@ std::uint64_t kway_merge_range(const K* keys,
     return ((wt >> 63) | (((ct >> 63) ^ 1) & (lt | (!gt & (ct < wt))))) != 0;
   };
 
-  std::vector<K> node_key(k);
-  std::vector<std::size_t> node_tag(k, kDead);
+  PGXD_DCHECK(node_key.size() >= 2 * k && node_tag.size() >= 2 * k);
   K win_key{};
   std::size_t win_tag = kDead;
   {
-    // Build: play the tournament bottom-up.
-    std::vector<K> level_key(k);
-    std::vector<std::size_t> level_tag(k);
+    // Build: play the tournament bottom-up in the upper half of the
+    // storage; internal nodes 1..k-1 live in the lower half.
+    const std::span<K> level_key = node_key.subspan(k, k);
+    const std::span<std::size_t> level_tag = node_tag.subspan(k, k);
     for (std::size_t i = 0; i < k; ++i) head(i, level_key[i], level_tag[i]);
     std::size_t width = k;
     std::size_t node_base = k;
@@ -152,6 +160,25 @@ std::uint64_t kway_merge_range(const K* keys,
     }
   }
   return comparisons;
+}
+
+// Tree storage kway_merge_range needs for R runs, per plane.
+inline std::size_t kway_tree_slots(std::size_t runs) {
+  return 2 * std::bit_ceil(runs);
+}
+
+template <typename K, typename Comp, typename Emit>
+std::uint64_t kway_merge_range(const K* keys,
+                               std::span<const std::size_t> bounds,
+                               std::span<std::size_t> cursor,
+                               std::size_t count, Comp comp, Emit&& emit) {
+  const std::size_t slots = kway_tree_slots(bounds.size() - 1);
+  std::vector<K> node_key(slots);
+  std::vector<std::size_t> node_tag(slots);
+  return kway_merge_range(keys, bounds, cursor, count, comp,
+                          std::span<K>(node_key),
+                          std::span<std::size_t>(node_tag),
+                          std::forward<Emit>(emit));
 }
 
 // Merges the sorted runs described by `bounds` (size R+1, bounds[0] == 0,

@@ -8,14 +8,17 @@
 // MergeInto pass. Here every element is moved exactly once:
 //
 //   1. *Splitter search*: the merged output [0, n) is cut into near-equal
-//      per-thread ranges. Each interior boundary is located by
-//      multisequence selection (kway_select): a value-pivot binary search
-//      across all R runs at once, the classic multiway-partition algorithm
-//      (Varman et al.; also __gnu_parallel::multiseq_partition).
+//      ranges, as many as n allows (never as many as a pool has threads).
+//      Each range locates its start by multisequence selection
+//      (kway_select): a value-pivot binary search across all R runs at
+//      once, the classic multiway-partition algorithm (Varman et al.; also
+//      __gnu_parallel::multiseq_partition).
 //   2. *Per-range loser trees*: each range merges independently with the
 //      tournament engine from sort/kway_merge.hpp, paying log2(R)
-//      comparisons but only ONE move per element, writing straight into its
-//      disjoint slice of the destination.
+//      comparisons but only ONE move per element, handing each element to
+//      a callback that writes it straight into its disjoint slice of the
+//      destination (kway_merge_split; the sorter's final and AMS level-1
+//      merges and both wrappers below all go through it).
 //
 // Boundary cursors deal equal keys to the lower run first — the same tie
 // rule as the loser tree and merge_into — so the concatenated ranges are
@@ -63,22 +66,28 @@ struct ParallelKwayMergeStats {
 // the pivot's window strictly shrinks each round, so the terminating branch
 // (count_lt <= k <= count_le) is always reached. O(R log n) per round,
 // O(log n) rounds in practice.
+//
+// Writes the cursors into `cur` (R entries) and works in `work` (4R
+// entries), so a pool worker can run it without allocating.
 template <typename K, typename Comp = Less>
-std::vector<std::size_t> kway_select(const K* keys,
-                                     std::span<const std::size_t> bounds,
-                                     std::size_t k, Comp comp = {},
-                                     std::uint64_t* rounds = nullptr) {
+void kway_select_into(const K* keys, std::span<const std::size_t> bounds,
+                      std::size_t k, Comp comp, std::span<std::size_t> cur,
+                      std::span<std::size_t> work,
+                      std::uint64_t* rounds = nullptr) {
   const std::size_t runs = bounds.size() - 1;
-  std::vector<std::size_t> cur(runs);
+  PGXD_DCHECK(cur.size() >= runs && work.size() >= 4 * runs);
   for (std::size_t r = 0; r < runs; ++r) cur[r] = bounds[r];
   PGXD_CHECK(k <= bounds[runs] - bounds[0]);
-  if (k == 0) return cur;
+  if (k == 0) return;
   if (k == bounds[runs] - bounds[0]) {
     for (std::size_t r = 0; r < runs; ++r) cur[r] = bounds[r + 1];
-    return cur;
+    return;
   }
 
-  std::vector<std::size_t> lo(runs), hi(runs), lb(runs), ub(runs);
+  std::size_t* lo = work.data();
+  std::size_t* hi = lo + runs;
+  std::size_t* lb = hi + runs;
+  std::size_t* ub = lb + runs;
   for (std::size_t r = 0; r < runs; ++r) {
     lo[r] = bounds[r];
     hi[r] = bounds[r + 1];
@@ -134,12 +143,50 @@ std::vector<std::size_t> kway_select(const K* keys,
         rem -= take;
       }
       PGXD_DCHECK(rem == 0);
-      return cur;
+      return;
     }
   }
 }
 
+template <typename K, typename Comp = Less>
+std::vector<std::size_t> kway_select(const K* keys,
+                                     std::span<const std::size_t> bounds,
+                                     std::size_t k, Comp comp = {},
+                                     std::uint64_t* rounds = nullptr) {
+  const std::size_t runs = bounds.size() - 1;
+  std::vector<std::size_t> cur(runs), work(4 * runs);
+  kway_select_into(keys, bounds, k, comp, std::span<std::size_t>(cur),
+                   std::span<std::size_t>(work), rounds);
+  return cur;
+}
+
+// Most output ranges one merge is cut into. A constant, so the split — and
+// with it every statistic — is a function of n alone, never of how many
+// threads a pool has. Eight ranges of at least kMinMergePiece keep four
+// threads evenly busy; sixteen mostly spent more on selection than they
+// saved (EXPERIMENTS.md, "Host parallelism").
+inline constexpr std::size_t kMaxMergeRanges = 8;
+
+// Smallest merge the sorter hands to the host pool. At 16Ki elements the
+// 3-worker split already won 1.3-2.9x over one loser tree across 16-256
+// runs; at 8Ki the selection and the fork-join round trip ate the gain
+// (EXPERIMENTS.md, "Host parallelism").
+inline constexpr std::size_t kPoolMergeMin = std::size_t{1} << 14;
+
+// Output ranges for one of the sorter's host merges of n elements: one
+// (serial, no dispatch) below kPoolMergeMin, else kMaxMergeRanges before
+// the clamp below.
+inline std::size_t host_merge_ranges(std::size_t n) {
+  return n < kPoolMergeMin ? 1 : kMaxMergeRanges;
+}
+
 namespace detail {
+
+// Elements of T that span at least one cache line.
+template <typename T>
+constexpr std::size_t line_pad() {
+  return (64 + sizeof(T) - 1) / sizeof(T);
+}
 
 // Output ranges for one parallel k-way merge: `want` ranges clamped so no
 // range merges fewer than kMinMergePiece elements.
@@ -148,31 +195,98 @@ inline std::size_t clamp_kway_ranges(std::size_t want, std::size_t n) {
   return std::min(want, std::max<std::size_t>(1, n / kMinMergePiece));
 }
 
-// Per-range starting cursors (row-major `ranges` x R) for output boundaries
-// at n*i/ranges, plus select-round accounting.
-template <typename K, typename Comp>
-std::vector<std::size_t> kway_range_cursors(
-    const K* keys, std::span<const std::size_t> bounds, std::size_t ranges,
-    Comp comp, std::uint64_t& rounds) {
+}  // namespace detail
+
+// Range-split k-way merge, the one merge entry point: cuts the stable merge
+// of the sorted runs over `keys` (run r at [bounds[r], bounds[r+1]),
+// bounds[0] == 0) into `ranges` output ranges (clamped as above) and merges
+// each with its own loser tree, concurrently on `pool` when given. Calls
+// emit(out_pos, src_pos, run) once per element: keys[src_pos] of run `run`
+// is the out_pos-th element of the merge. Distinct ranges emit disjoint
+// out_pos sets, so emit may write straight into a pre-sized output.
+//
+// Each range locates its own start by multisequence selection and merges
+// in storage sized here, on the calling thread: the pool's workers never
+// allocate. The ranges concatenate into exactly the stable sequential
+// merge, so the output is the same for any range count or pool.
+template <typename K, typename Comp, typename Emit>
+ParallelKwayMergeStats kway_merge_split(const K* keys,
+                                        std::span<const std::size_t> bounds,
+                                        std::size_t ranges, Comp comp,
+                                        Emit&& emit,
+                                        ThreadPool* pool = nullptr) {
+  PGXD_CHECK(!bounds.empty());
+  PGXD_CHECK(bounds.front() == 0);
+  ParallelKwayMergeStats stats;
   const std::size_t runs = bounds.size() - 1;
-  const std::size_t n = bounds[runs] - bounds[0];
-  std::vector<std::size_t> cursors(ranges * runs);
-  for (std::size_t r = 0; r < runs; ++r) cursors[r] = bounds[r];
-  for (std::size_t i = 1; i < ranges; ++i) {
-    const auto cut = kway_select(keys, bounds, n * i / ranges, comp, &rounds);
-    std::copy(cut.begin(), cut.end(), cursors.begin() + i * runs);
-  }
-  return cursors;
+  const std::size_t n = bounds[runs];
+  stats.runs = runs;
+  if (n == 0) return stats;
+  ranges = runs <= 1 ? 1 : detail::clamp_kway_ranges(ranges, n);
+  stats.ranges = ranges;
+
+  // Per-range scratch (cursors, then selection windows), strided with a
+  // cache line of slack so concurrent ranges never write to a shared line
+  // (the cursors and tree nodes are rewritten on every element).
+  const bool split = ranges > 1;
+  const std::size_t slots = kway_tree_slots(runs);
+  const std::size_t cur_stride =
+      split ? 5 * runs + detail::line_pad<std::size_t>() : runs;
+  const std::size_t key_stride = split ? slots + detail::line_pad<K>() : slots;
+  const std::size_t tag_stride =
+      split ? slots + detail::line_pad<std::size_t>() : slots;
+  std::vector<std::size_t> cursors(ranges * cur_stride);
+  std::vector<K> tree_key(ranges * key_stride);
+  std::vector<std::size_t> tree_tag(ranges * tag_stride);
+  std::vector<std::uint64_t> comps(ranges, 0), rounds(ranges, 0);
+  auto run_range = [&](std::size_t i) {
+    std::size_t* const base = cursors.data() + i * cur_stride;
+    const std::span<std::size_t> cur(base, runs);
+    const std::size_t k0 = n * i / ranges;
+    const std::size_t k1 = n * (i + 1) / ranges;
+    std::uint64_t select_rounds = 0;
+    if (i == 0)
+      std::copy(bounds.begin(), bounds.end() - 1, cur.begin());
+    else
+      kway_select_into(keys, bounds, k0, comp, cur,
+                       std::span<std::size_t>(base + runs, 4 * runs),
+                       &select_rounds);
+    std::size_t out = k0;
+    const std::uint64_t c = kway_merge_range(
+        keys, bounds, cur, k1 - k0, comp,
+        std::span<K>(tree_key.data() + i * key_stride, slots),
+        std::span<std::size_t>(tree_tag.data() + i * tag_stride, slots),
+        [&](std::size_t pos, std::size_t r) { emit(out++, pos, r); });
+    comps[i] = c;
+    rounds[i] = select_rounds;
+  };
+  if (pool != nullptr && split)
+    pool->run_all(ranges, run_range);
+  else
+    for (std::size_t i = 0; i < ranges; ++i) run_range(i);
+  stats.comparisons =
+      std::accumulate(comps.begin(), comps.end(), std::uint64_t{0});
+  stats.select_rounds =
+      std::accumulate(rounds.begin(), rounds.end(), std::uint64_t{0});
+  return stats;
+}
+
+namespace detail {
+
+// Range count for the wrappers below: `ranges` when given, else one per
+// kMinMergePiece up to kMaxMergeRanges with a pool and one without.
+inline std::size_t wrapper_merge_ranges(std::size_t ranges,
+                                        const ThreadPool* pool) {
+  if (ranges != 0) return ranges;
+  return pool != nullptr ? kMaxMergeRanges : 1;
 }
 
 }  // namespace detail
 
-// Single-pass parallel k-way merge of full records: merges the sorted runs
-// of `src` described by `bounds` into `dst` (resized to src.size()). With a
-// pool, output ranges merge concurrently (caller participates via
-// run_all); `ranges` overrides the split count — e.g. a DES caller with no
-// real pool can still exercise the splitter search by asking for the
-// simulated machine's thread count.
+// Full records: merges the sorted runs of `src` described by `bounds` into
+// `dst` (resized to src.size()). `ranges` overrides the split count — e.g.
+// a DES caller with no real pool can still exercise the splitter search by
+// asking for the simulated machine's thread count.
 template <typename T, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
                                            const std::vector<std::size_t>& bounds,
@@ -180,104 +294,41 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
                                            ThreadPool* pool = nullptr,
                                            std::size_t ranges = 0) {
   PGXD_CHECK(!bounds.empty());
-  PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == src.size());
-  ParallelKwayMergeStats stats;
-  const std::size_t n = src.size();
-  const std::size_t runs = bounds.size() - 1;
-  stats.runs = runs;
-  dst.resize(n);
-  if (n == 0) return stats;
-  if (runs <= 1) {
-    std::copy(src.begin(), src.end(), dst.begin());
-    return stats;
-  }
-
-  const std::span<const std::size_t> bspan(bounds);
-  if (ranges == 0) ranges = pool ? pool->workers() + 1 : 1;
-  ranges = detail::clamp_kway_ranges(ranges, n);
-  stats.ranges = ranges;
-  auto cursors =
-      detail::kway_range_cursors(src.data(), bspan, ranges, comp,
-                                 stats.select_rounds);
-
-  std::vector<std::uint64_t> comps(ranges, 0);
-  auto run_range = [&](std::size_t i) {
-    std::span<std::size_t> cur(cursors.data() + i * runs, runs);
-    const std::size_t k0 = n * i / ranges;
-    const std::size_t k1 = n * (i + 1) / ranges;
-    std::size_t out = k0;
-    comps[i] = kway_merge_range(src.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos, std::size_t) {
-                                  dst[out++] = src[pos];
-                                });
-  };
-  if (pool != nullptr && ranges > 1)
-    pool->run_all(ranges, run_range);
-  else
-    for (std::size_t i = 0; i < ranges; ++i) run_range(i);
-  stats.comparisons = std::accumulate(comps.begin(), comps.end(),
-                                      std::uint64_t{0});
-  return stats;
+  dst.resize(src.size());
+  return kway_merge_split(
+      src.data(), std::span<const std::size_t>(bounds),
+      detail::wrapper_merge_ranges(ranges, pool), comp,
+      [&](std::size_t out, std::size_t pos, std::size_t) {
+        dst[out] = src[pos];
+      },
+      pool);
 }
 
-// SoA variant: bare keys plus the compact u32 permutation move through ONE
-// pass (sizeof(Key) + 4 bytes per element,
-// once — versus once per level in balanced_merge_soa). The merged result
-// always lands in (key_out, perm_out); there is no ping-pong and no
-// copy-back, the caller reads the output planes directly (the same
+// SoA variant: bare keys plus a payload plane (the compact u32
+// permutation, or any per-element word) move through ONE pass. The merged
+// result always lands in (key_out, payload_out); there is no ping-pong and
+// no copy-back, the caller reads the output planes directly (the same
 // no-staging contract as SoaMergeResult with in_scratch == true).
-template <typename K, typename Comp = Less>
+template <typename K, typename P, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge_soa(
-    const std::vector<K>& keys, const std::vector<std::uint32_t>& perm,
+    const std::vector<K>& keys, const std::vector<P>& payload,
     const std::vector<std::size_t>& bounds, std::vector<K>& key_out,
-    std::vector<std::uint32_t>& perm_out, Comp comp = {},
-    ThreadPool* pool = nullptr, std::size_t ranges = 0) {
+    std::vector<P>& payload_out, Comp comp = {}, ThreadPool* pool = nullptr,
+    std::size_t ranges = 0) {
   PGXD_CHECK(!bounds.empty());
-  PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == keys.size());
-  PGXD_CHECK(perm.size() == keys.size());
-  ParallelKwayMergeStats stats;
-  const std::size_t n = keys.size();
-  const std::size_t runs = bounds.size() - 1;
-  stats.runs = runs;
-  key_out.resize(n);
-  perm_out.resize(n);
-  if (n == 0) return stats;
-  if (runs <= 1) {
-    std::copy(keys.begin(), keys.end(), key_out.begin());
-    std::copy(perm.begin(), perm.end(), perm_out.begin());
-    return stats;
-  }
-
-  const std::span<const std::size_t> bspan(bounds);
-  if (ranges == 0) ranges = pool ? pool->workers() + 1 : 1;
-  ranges = detail::clamp_kway_ranges(ranges, n);
-  stats.ranges = ranges;
-  auto cursors =
-      detail::kway_range_cursors(keys.data(), bspan, ranges, comp,
-                                 stats.select_rounds);
-
-  std::vector<std::uint64_t> comps(ranges, 0);
-  auto run_range = [&](std::size_t i) {
-    std::span<std::size_t> cur(cursors.data() + i * runs, runs);
-    const std::size_t k0 = n * i / ranges;
-    const std::size_t k1 = n * (i + 1) / ranges;
-    std::size_t out = k0;
-    comps[i] = kway_merge_range(keys.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos, std::size_t) {
-                                  key_out[out] = keys[pos];
-                                  perm_out[out] = perm[pos];
-                                  ++out;
-                                });
-  };
-  if (pool != nullptr && ranges > 1)
-    pool->run_all(ranges, run_range);
-  else
-    for (std::size_t i = 0; i < ranges; ++i) run_range(i);
-  stats.comparisons = std::accumulate(comps.begin(), comps.end(),
-                                      std::uint64_t{0});
-  return stats;
+  PGXD_CHECK(payload.size() == keys.size());
+  key_out.resize(keys.size());
+  payload_out.resize(keys.size());
+  return kway_merge_split(
+      keys.data(), std::span<const std::size_t>(bounds),
+      detail::wrapper_merge_ranges(ranges, pool), comp,
+      [&](std::size_t out, std::size_t pos, std::size_t) {
+        key_out[out] = keys[pos];
+        payload_out[out] = payload[pos];
+      },
+      pool);
 }
 
 }  // namespace pgxd::sort

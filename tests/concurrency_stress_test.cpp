@@ -21,6 +21,7 @@
 #include "common/work_stealing_pool.hpp"
 #include "runtime/memory.hpp"
 #include "sort/balanced_merge.hpp"
+#include "sort/parallel_kway_merge.hpp"
 #include "sort/parallel_sort.hpp"
 
 namespace pgxd {
@@ -190,6 +191,43 @@ TEST(MergeTreeStress, ParallelSortReusedPool) {
     sort::parallel_sort(data, scratch, std::less<>{}, &pool);
     ASSERT_TRUE(std::is_sorted(data.begin(), data.end()));
   }
+}
+
+// The range-split k-way merge on a fork-join pool: back-to-back merges
+// whose ranges write disjoint slices of one output, while a second host
+// thread forks on the same pool (it finds the pool busy and runs inline).
+// Under TSan this proves the job publication and the join order every
+// range's writes before the caller reads the output.
+TEST(MergeTreeStress, RangeSplitMergeSharedPool) {
+  ThreadPool pool(3);
+  auto merge_rounds = [&pool](std::uint64_t seed) {
+    Rng rng(seed);
+    for (int round = 0; round < 6; ++round) {
+      const std::size_t runs = 5 + static_cast<std::size_t>(round);
+      std::vector<std::uint64_t> keys;
+      std::vector<std::size_t> bounds{0};
+      for (std::size_t r = 0; r < runs; ++r) {
+        std::vector<std::uint64_t> run(3000 + rng.bounded(3000));
+        for (auto& v : run) v = rng.bounded(1u << (4 + round));
+        std::sort(run.begin(), run.end());
+        keys.insert(keys.end(), run.begin(), run.end());
+        bounds.push_back(keys.size());
+      }
+      std::vector<std::uint64_t> origin(keys.size());
+      std::iota(origin.begin(), origin.end(), std::uint64_t{0});
+      std::vector<std::uint64_t> want_keys, want_origin, got_keys, got_origin;
+      sort::parallel_kway_merge_soa(keys, origin, bounds, want_keys,
+                                    want_origin);
+      const auto stats = sort::parallel_kway_merge_soa(
+          keys, origin, bounds, got_keys, got_origin, std::less<>{}, &pool);
+      ASSERT_GT(stats.ranges, 1u);
+      ASSERT_EQ(got_keys, want_keys);
+      ASSERT_EQ(got_origin, want_origin);
+    }
+  };
+  std::thread other([&] { merge_rounds(0xabc); });
+  merge_rounds(0xdef);
+  other.join();
 }
 
 // --- BufferPool --------------------------------------------------------------

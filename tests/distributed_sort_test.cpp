@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/api.hpp"
 #include "core/distributed_sort.hpp"
 #include "core/sort_report.hpp"
@@ -820,6 +821,82 @@ TEST(SortReport, TelemetryOffLeavesRegistriesEmpty) {
   EXPECT_EQ(rep.network.bytes_sent, 0u);
   EXPECT_EQ(rep.items.total, 9000u);
   EXPECT_GT(rep.total_time_ns, 0);
+}
+
+// --- Host parallelism ---------------------------------------------------------
+
+// Everything one sort produces that must not depend on the host pool: the
+// partitions (keys and provenance), the full report (phase times, load,
+// splitters, network, telemetry) and the simulated clock.
+struct HostRun {
+  std::vector<std::vector<Item<Key>>> parts;
+  std::string report;
+  sim::SimTime total = 0;
+};
+
+HostRun sort_on_pool(ThreadPool& host, std::size_t machines,
+                     gen::Distribution dist, std::size_t per_rank,
+                     SortConfig cfg, const net::FaultConfig& faults = {}) {
+  rt::ClusterConfig ccfg = test_cluster(machines);
+  ccfg.net.faults = faults;
+  ccfg.reliable.enabled = faults.drop_prob > 0 || faults.duplicate_prob > 0;
+  rt::Cluster<Sorter::Msg> cluster(ccfg);
+  cfg.telemetry = true;
+  Sorter sorter(cluster, cfg, 0, {}, &host);
+  auto shards = make_shards(dist, per_rank * machines, machines, 7);
+  const auto input = shards;
+  sorter.run(std::move(shards));
+  verify_sorted_parts(sorter.partitions(), input);
+  return {sorter.partitions(),
+          build_sort_report(sorter, SortRunInfo{}).to_json(),
+          sorter.stats().total_time};
+}
+
+// The same seed sorts to the same bits whether the large per-rank merges
+// run inline (0 workers) or on a 3-worker host pool. 40k keys per rank put
+// the final merge (and on AMS the level-1 merge) above the dispatch
+// threshold, so the pooled run really splits them.
+void expect_pool_invisible(std::size_t machines, gen::Distribution dist,
+                           const SortConfig& cfg,
+                           const net::FaultConfig& faults = {}) {
+  ThreadPool inline_pool(0), workers(3);
+  const HostRun a = sort_on_pool(inline_pool, machines, dist, 40000, cfg,
+                                 faults);
+  const HostRun b = sort_on_pool(workers, machines, dist, 40000, cfg, faults);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.report, b.report);
+  ASSERT_EQ(a.parts.size(), b.parts.size());
+  for (std::size_t r = 0; r < a.parts.size(); ++r) {
+    ASSERT_EQ(a.parts[r].size(), b.parts[r].size()) << "rank " << r;
+    for (std::size_t i = 0; i < a.parts[r].size(); ++i) {
+      ASSERT_EQ(a.parts[r][i].key, b.parts[r][i].key) << r << ":" << i;
+      ASSERT_EQ(a.parts[r][i].prov.prev_machine,
+                b.parts[r][i].prov.prev_machine) << r << ":" << i;
+      ASSERT_EQ(a.parts[r][i].prov.prev_index, b.parts[r][i].prov.prev_index)
+          << r << ":" << i;
+    }
+  }
+}
+
+TEST(HostPool, OneLevelP52IdenticalOnAnyPool) {
+  expect_pool_invisible(52, gen::Distribution::kUniform, SortConfig{});
+}
+
+TEST(HostPool, HistogramZipfP64IdenticalOnAnyPool) {
+  SortConfig cfg;
+  cfg.partition = PartitionScheme::kHistogramRefine;
+  cfg.partition_epsilon = 0.05;
+  expect_pool_invisible(64, gen::Distribution::kZipf, cfg);
+}
+
+TEST(HostPool, TwoLevelAmsP16WithDropAndDupIdenticalOnAnyPool) {
+  SortConfig cfg;
+  cfg.partition = PartitionScheme::kTwoLevelAms;
+  net::FaultConfig faults;
+  faults.drop_prob = 0.02;
+  faults.duplicate_prob = 0.01;
+  faults.seed = 11;
+  expect_pool_invisible(16, gen::Distribution::kRightSkewed, cfg, faults);
 }
 
 }  // namespace

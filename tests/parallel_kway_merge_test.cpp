@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,7 @@
 #include "sort/balanced_merge.hpp"
 #include "sort/kway_merge.hpp"
 #include "sort/parallel_kway_merge.hpp"
+#include "sort/partition.hpp"
 #include "sort/soa_merge.hpp"
 
 namespace pgxd::sort {
@@ -364,6 +366,91 @@ TEST(ParallelKwayMergeStress, PoolMatchesSequential) {
       EXPECT_EQ(rs.keys[got_perm[i]], got_keys[i]);
   }
 }
+
+// --- AMS level-1 merge ---------------------------------------------------------
+
+// The two-level AMS level-1 merge as it was before the fused pass, kept as
+// the oracle: the Fig. 2 SoA tree over an identity u32 permutation, then a
+// second pass permuting the origin plane.
+void old_level1_merge(std::vector<std::uint64_t>& keys,
+                      std::vector<std::uint64_t>& origin,
+                      const std::vector<std::size_t>& bounds) {
+  std::vector<std::uint32_t> perm(keys.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::vector<std::uint64_t> kscr;
+  std::vector<std::uint32_t> pscr;
+  const auto res = balanced_merge_soa(keys, perm, bounds, kscr, pscr, Less{});
+  if (res.in_scratch) keys = std::move(kscr);
+  const std::uint32_t* mp = (res.in_scratch ? pscr : perm).data();
+  std::vector<std::uint64_t> permuted(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) permuted[i] = origin[mp[i]];
+  origin = std::move(permuted);
+}
+
+struct Level1Case {
+  std::size_t q;
+  std::uint64_t domain;  // small domains make the runs tie-heavy
+};
+
+class AmsLevel1Merge : public ::testing::TestWithParam<Level1Case> {};
+
+// One receiver of group 1 in a q-rank two-level AMS sort: its senders are
+// the ranks that AmsLayout::partner maps to it, each contributing the
+// contiguous slice of its sorted shard that falls in group 1's key range,
+// with origins (sender, index in shard) — the shape sort_attempt_impl
+// merges after the level-1 exchange. Keys and origins of the fused pass
+// (inline and on a pool) must equal the old path's.
+TEST_P(AmsLevel1Merge, FusedPassMatchesOldPath) {
+  const Level1Case c = GetParam();
+  const AmsLayout layout = ams_layout(c.q);
+  const std::size_t g_me = 1, idx = layout.start[g_me];
+  const std::uint64_t lo = c.domain / layout.groups;
+  const std::uint64_t hi = 2 * c.domain / layout.groups;
+  Rng rng(c.q * 31 + c.domain);
+  std::vector<std::uint64_t> keys, origin;
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t k = 0; k < c.q; ++k) {
+    if (layout.partner(k, g_me) != idx) continue;
+    std::vector<std::uint64_t> shard(40000);
+    for (auto& x : shard) x = rng.bounded(c.domain);
+    std::sort(shard.begin(), shard.end());
+    const auto b = std::lower_bound(shard.begin(), shard.end(), lo);
+    const auto e = std::lower_bound(shard.begin(), shard.end(), hi);
+    for (auto it = b; it != e; ++it) {
+      keys.push_back(*it);
+      origin.push_back((std::uint64_t{k} << 32) |
+                       static_cast<std::uint64_t>(it - shard.begin()));
+    }
+    bounds.push_back(keys.size());
+  }
+  ASSERT_EQ(bounds.size() - 1, c.q / layout.size(g_me));
+  ASSERT_GE(keys.size(), kPoolMergeMin);  // the pooled split engages
+
+  auto want_keys = keys;
+  auto want_origin = origin;
+  old_level1_merge(want_keys, want_origin, bounds);
+
+  ThreadPool inline_pool(0), workers(3);
+  for (ThreadPool* pool : {&inline_pool, &workers}) {
+    std::vector<std::uint64_t> got_keys, got_origin;
+    const auto stats = parallel_kway_merge_soa(
+        keys, origin, bounds, got_keys, got_origin, Less{}, pool,
+        host_merge_ranges(keys.size()));
+    EXPECT_GT(stats.ranges, 1u);
+    EXPECT_EQ(got_keys, want_keys) << "workers " << pool->workers();
+    EXPECT_EQ(got_origin, want_origin) << "workers " << pool->workers();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    P16AndP64, AmsLevel1Merge,
+    ::testing::Values(Level1Case{16, std::uint64_t{1} << 40},
+                      Level1Case{16, 64}, Level1Case{64, std::uint64_t{1} << 40},
+                      Level1Case{64, 64}),
+    [](const ::testing::TestParamInfo<Level1Case>& info) {
+      return "P" + std::to_string(info.param.q) +
+             (info.param.domain <= 64 ? "DupHeavy" : "Uniform");
+    });
 
 }  // namespace
 }  // namespace pgxd::sort

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -290,6 +292,67 @@ TEST(ThreadPool, IndexedRunAllEmpty) {
   bool ran = false;
   pool.run_all(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPool, IndexedRunAllBackToBack) {
+  // Thousands of small fork-join jobs in a row: each must see every index
+  // exactly once, and none may leak into the next.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(64);
+  for (int round = 0; round < 3000; ++round) {
+    const std::size_t count = 1 + static_cast<std::size_t>(round) % 64;
+    pool.run_all(count, [&](std::size_t i) { ++hits[i]; });
+  }
+  std::vector<int> want(64, 0);
+  for (int round = 0; round < 3000; ++round)
+    for (std::size_t i = 0; i < 1 + static_cast<std::size_t>(round) % 64; ++i)
+      ++want[i];
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), want[i]) << "index " << i;
+}
+
+TEST(ThreadPool, IndexedRunAllCountOneRunsOnCaller) {
+  ThreadPool pool(3);
+  std::thread::id ran_on;
+  pool.run_all(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, IndexedRunAllFewerIndicesThanWorkers) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::atomic<int>> hits(2);
+    pool.run_all(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    ASSERT_EQ(hits[0].load(), 1);
+    ASSERT_EQ(hits[1].load(), 1);
+  }
+}
+
+TEST(ThreadPool, NestedIndexedRunAllRunsInline) {
+  // A body that forks again finds the pool busy and runs its inner job on
+  // its own thread; every (outer, inner) pair still runs once.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  pool.run_all(8, [&](std::size_t o) {
+    pool.run_all(8, [&](std::size_t i) { ++hits[o * 8 + i]; });
+  });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, DestroyWhileWorkersParked) {
+  for (int round = 0; round < 5; ++round) {
+    ThreadPool pool(3);
+    std::atomic<int> ran{0};
+    pool.run_all(6, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 6);
+    // Long enough for every worker to stop spinning and park.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+}
+
+TEST(ThreadPool, HostPoolLeavesACpuForTheCaller) {
+  EXPECT_LE(host_pool_workers(), 7u);
+  EXPECT_EQ(host_pool().workers(), host_pool_workers());
 }
 
 TEST(Quicksort, CustomComparatorDescending) {
