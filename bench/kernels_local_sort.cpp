@@ -394,8 +394,8 @@ void BM_FusedFinalMerge(benchmark::State& state) {
   }
   std::vector<Item> out(keys.size());
   pgxd::ThreadPool pool(workers);
-  const std::size_t ranges =
-      workers == 0 ? 1 : pgxd::sort::host_merge_ranges(keys.size());
+  // 0: the n-derived split the sorter uses.
+  const std::size_t ranges = workers == 0 ? 1 : 0;
   for (auto _ : state) {
     pgxd::sort::kway_merge_split(
         keys.data(), std::span<const std::size_t>(bounds), ranges,

@@ -86,12 +86,16 @@ void ThreadPool::fork_join(std::size_t count, JobFn fn, void* ctx) {
   // A worker counts itself in job_busy_ before it looks at job_open_, so
   // once the job is closed and job_busy_ reads zero no worker can still be
   // inside it (both sides seq_cst: one of them sees the other's write).
+  // Like an idle worker, the caller spins briefly on a straggler, then
+  // parks until the last one out wakes it.
   job_open_.store(false, std::memory_order_seq_cst);
-  for (int polls = 0; job_busy_.load(std::memory_order_seq_cst) != 0;) {
+  for (int polls = 0;;) {
+    const unsigned busy = job_busy_.load(std::memory_order_seq_cst);
+    if (busy == 0) break;
     if (++polls < kSpinPolls)
       cpu_relax();
     else
-      std::this_thread::yield();
+      job_busy_.wait(busy, std::memory_order_seq_cst);
   }
 }
 
@@ -106,7 +110,8 @@ void ThreadPool::join_job() {
          i < count; i = job_next_.fetch_add(1, std::memory_order_relaxed))
       fn(ctx, i);
   }
-  job_busy_.fetch_sub(1, std::memory_order_release);
+  if (job_busy_.fetch_sub(1, std::memory_order_release) == 1)
+    job_busy_.notify_one();
 }
 
 void ThreadPool::worker_loop() {

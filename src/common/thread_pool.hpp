@@ -6,8 +6,10 @@
 // atomic cursor, and the caller returns once every joined worker has left.
 // No allocation, no mutex and no condition variable on that path: a
 // round trip costs about a microsecond while workers still spin
-// (BM_RunAllRoundTrip) and one futex wake once they have parked. submit()/wait_idle() keep a
-// mutex-protected FIFO for coarse task graphs that submit from tasks.
+// (BM_RunAllRoundTrip) and one futex wake once they have parked; a caller
+// left waiting on a straggler parks the same way. submit()/wait_idle()
+// keep a mutex-protected FIFO for coarse task graphs that submit from
+// tasks.
 //
 // A pool of size 0 executes everything inline on the caller, which is also
 // the degenerate path used when callers pass no pool at all.
@@ -60,14 +62,15 @@ class ThreadPool {
   void run_all(std::size_t count, F&& body) {
     using Fn = std::remove_reference_t<F>;
     if (count == 0) return;
-    if (count == 1 || threads_.empty() || !fork_mu_.try_lock()) {
+    if (count == 1 || threads_.empty() ||
+        job_claimed_.exchange(true, std::memory_order_acquire)) {
       for (std::size_t i = 0; i < count; ++i) body(i);
       return;
     }
-    std::lock_guard hold(fork_mu_, std::adopt_lock);
     fork_join(count,
               [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); },
               const_cast<std::remove_const_t<Fn>*>(std::addressof(body)));
+    job_claimed_.store(false, std::memory_order_release);
   }
 
   // Splits [begin, end) into roughly `pieces` contiguous chunks and runs
@@ -81,7 +84,7 @@ class ThreadPool {
   void worker_loop();
   bool run_one();  // returns false if the queue was empty
   // Publishes the job, runs the caller's share, waits out joined workers.
-  // Requires fork_mu_.
+  // Requires the claimed job slot (job_claimed_).
   void fork_join(std::size_t count, JobFn fn, void* ctx);
   // Worker side: runs indices of the open job, if any.
   void join_job();
@@ -94,11 +97,13 @@ class ThreadPool {
   std::size_t in_flight_ = 0;  // queued + executing
   std::atomic<bool> stop_{false};
 
-  // Fork-join job slot. The plain fields are written by the caller before
-  // job_open_ is set and read by workers only after seeing it set, while
-  // counted in job_busy_; the caller clears job_open_ and waits for
+  // Fork-join job slot. A caller claims it by flipping job_claimed_ from
+  // false to true (a caller that finds it taken runs inline) and frees it
+  // once the job has drained. The plain fields are written by the caller
+  // before job_open_ is set and read by workers only after seeing it set,
+  // while counted in job_busy_; the caller clears job_open_ and waits for
   // job_busy_ to drain before it returns or publishes the next job.
-  std::mutex fork_mu_;  // pgxd-lock-order: pool-fork rank 5
+  std::atomic<bool> job_claimed_{false};
   JobFn job_fn_ = nullptr;
   void* job_ctx_ = nullptr;
   std::size_t job_count_ = 0;

@@ -1493,8 +1493,7 @@ class DistributedSorter {
               mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
           local.clear();  // resized by the merge, nothing copied over
           sort::parallel_kway_merge_soa(merged, mprov, roff, local, lprov,
-                                        comp_, host_pool_ref(),
-                                        sort::host_merge_ranges(l1_total));
+                                        comp_, host_pool_ref());
         }
         co_await m.charge_balanced_merge(
             l1_total, std::max<std::size_t>(1, contrib.size()));
@@ -2140,7 +2139,7 @@ class DistributedSorter {
           }
           sort::kway_merge_split(
               recv_keys.data(), std::span<const std::size_t>(offsets),
-              sort::host_merge_ranges(total_recv), comp_,
+              /*ranges=*/0, comp_,
               [&](std::size_t o, std::size_t pos, std::size_t s) {
                 out[o] = ItemT{recv_keys[pos],
                                xprov ? unpack_prov(recv_prov[pos])

@@ -69,15 +69,14 @@ bool provenance_is_bijection(
 // time and 2n extra keys, so the report names the first failure in the
 // order (c) permutation, (d) provenance.
 //
-// The per-shard copies and sorts run on `pool` (a ThreadPool(0) runs them
-// inline), one shard per task, with std::sort as the oracle — independent
-// of the sorter's own kernels. Storage is reserved on the calling thread,
-// so the workers never allocate.
+// The per-shard copies and sorts run on the process-wide host_pool(), one
+// shard per task, with std::sort as the oracle — independent of the
+// sorter's own kernels. Storage is reserved on the calling thread, so the
+// workers never allocate.
 template <typename Key, typename Comp = sort::Less>
 ValidationReport validate_sorted(
     const std::vector<std::vector<Item<Key>>>& partitions,
-    const std::vector<std::vector<Key>>& input, Comp comp = {},
-    ThreadPool* pool = &host_pool()) {
+    const std::vector<std::vector<Key>>& input, Comp comp = {}) {
   ValidationReport report;
 
   // (a) per-partition order and (b) global order.
@@ -122,7 +121,7 @@ ValidationReport validate_sorted(
     shard.assign(input[m].begin(), input[m].end());
     std::sort(shard.begin(), shard.end(), comp);
   };
-  pool->run_all(input.size(), sort_shard);
+  host_pool().run_all(input.size(), sort_shard);
   if (detail::provenance_is_bijection(partitions, sorted_shards, comp)) {
     report.permutation_ok = true;
     report.provenance_ok = true;

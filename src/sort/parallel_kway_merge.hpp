@@ -160,25 +160,10 @@ std::vector<std::size_t> kway_select(const K* keys,
   return cur;
 }
 
-// Most output ranges one merge is cut into. A constant, so the split — and
-// with it every statistic — is a function of n alone, never of how many
-// threads a pool has. Eight ranges of at least kMinMergePiece keep four
-// threads evenly busy; sixteen mostly spent more on selection than they
-// saved (EXPERIMENTS.md, "Host parallelism").
+// Most output ranges one merge is cut into. Eight ranges of at least
+// kMinMergePiece keep four threads evenly busy; sixteen mostly spent more on
+// selection than they saved (EXPERIMENTS.md, "Host parallelism").
 inline constexpr std::size_t kMaxMergeRanges = 8;
-
-// Smallest merge the sorter hands to the host pool. At 16Ki elements the
-// 3-worker split already won 1.3-2.9x over one loser tree across 16-256
-// runs; at 8Ki the selection and the fork-join round trip ate the gain
-// (EXPERIMENTS.md, "Host parallelism").
-inline constexpr std::size_t kPoolMergeMin = std::size_t{1} << 14;
-
-// Output ranges for one of the sorter's host merges of n elements: one
-// (serial, no dispatch) below kPoolMergeMin, else kMaxMergeRanges before
-// the clamp below.
-inline std::size_t host_merge_ranges(std::size_t n) {
-  return n < kPoolMergeMin ? 1 : kMaxMergeRanges;
-}
 
 namespace detail {
 
@@ -188,10 +173,18 @@ constexpr std::size_t line_pad() {
   return (64 + sizeof(T) - 1) / sizeof(T);
 }
 
-// Output ranges for one parallel k-way merge: `want` ranges clamped so no
-// range merges fewer than kMinMergePiece elements.
-inline std::size_t clamp_kway_ranges(std::size_t want, std::size_t n) {
-  want = std::max<std::size_t>(1, want);
+// Output ranges for one k-way merge of n elements over `runs` runs, the
+// one place that decides the split: `want` when nonzero, else
+// kMaxMergeRanges; either way clamped so no range merges fewer than
+// kMinMergePiece elements. So only merges of 2 * kMinMergePiece (8Ki) or
+// more are split and dispatched to a pool; below that one serial loser tree
+// won (EXPERIMENTS.md, "Host parallelism"). A function of n (and an
+// explicit override) alone, never of how many threads a pool has, so the
+// split — and with it every statistic — is the same on any pool.
+inline std::size_t kway_ranges(std::size_t want, std::size_t n,
+                               std::size_t runs) {
+  if (runs <= 1) return 1;
+  if (want == 0) want = kMaxMergeRanges;
   return std::min(want, std::max<std::size_t>(1, n / kMinMergePiece));
 }
 
@@ -199,8 +192,9 @@ inline std::size_t clamp_kway_ranges(std::size_t want, std::size_t n) {
 
 // Range-split k-way merge, the one merge entry point: cuts the stable merge
 // of the sorted runs over `keys` (run r at [bounds[r], bounds[r+1]),
-// bounds[0] == 0) into `ranges` output ranges (clamped as above) and merges
-// each with its own loser tree, concurrently on `pool` when given. Calls
+// bounds[0] == 0) into output ranges — as many as n allows (kway_ranges),
+// or `ranges` when nonzero — and merges each with its own loser tree,
+// concurrently on `pool` when given. Calls
 // emit(out_pos, src_pos, run) once per element: keys[src_pos] of run `run`
 // is the out_pos-th element of the merge. Distinct ranges emit disjoint
 // out_pos sets, so emit may write straight into a pre-sized output.
@@ -222,7 +216,7 @@ ParallelKwayMergeStats kway_merge_split(const K* keys,
   const std::size_t n = bounds[runs];
   stats.runs = runs;
   if (n == 0) return stats;
-  ranges = runs <= 1 ? 1 : detail::clamp_kway_ranges(ranges, n);
+  ranges = detail::kway_ranges(ranges, n, runs);
   stats.ranges = ranges;
 
   // Per-range scratch (cursors, then selection windows), strided with a
@@ -271,22 +265,9 @@ ParallelKwayMergeStats kway_merge_split(const K* keys,
   return stats;
 }
 
-namespace detail {
-
-// Range count for the wrappers below: `ranges` when given, else one per
-// kMinMergePiece up to kMaxMergeRanges with a pool and one without.
-inline std::size_t wrapper_merge_ranges(std::size_t ranges,
-                                        const ThreadPool* pool) {
-  if (ranges != 0) return ranges;
-  return pool != nullptr ? kMaxMergeRanges : 1;
-}
-
-}  // namespace detail
-
 // Full records: merges the sorted runs of `src` described by `bounds` into
-// `dst` (resized to src.size()). `ranges` overrides the split count — e.g.
-// a DES caller with no real pool can still exercise the splitter search by
-// asking for the simulated machine's thread count.
+// `dst` (resized to src.size()). `ranges` overrides the n-derived split
+// count when nonzero.
 template <typename T, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
                                            const std::vector<std::size_t>& bounds,
@@ -298,7 +279,7 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
   dst.resize(src.size());
   return kway_merge_split(
       src.data(), std::span<const std::size_t>(bounds),
-      detail::wrapper_merge_ranges(ranges, pool), comp,
+      ranges, comp,
       [&](std::size_t out, std::size_t pos, std::size_t) {
         dst[out] = src[pos];
       },
@@ -323,7 +304,7 @@ ParallelKwayMergeStats parallel_kway_merge_soa(
   payload_out.resize(keys.size());
   return kway_merge_split(
       keys.data(), std::span<const std::size_t>(bounds),
-      detail::wrapper_merge_ranges(ranges, pool), comp,
+      ranges, comp,
       [&](std::size_t out, std::size_t pos, std::size_t) {
         key_out[out] = keys[pos];
         payload_out[out] = payload[pos];

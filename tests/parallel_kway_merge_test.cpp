@@ -424,7 +424,7 @@ TEST_P(AmsLevel1Merge, FusedPassMatchesOldPath) {
     bounds.push_back(keys.size());
   }
   ASSERT_EQ(bounds.size() - 1, c.q / layout.size(g_me));
-  ASSERT_GE(keys.size(), kPoolMergeMin);  // the pooled split engages
+  ASSERT_GE(keys.size(), 2 * kMinMergePiece);  // the pooled split engages
 
   auto want_keys = keys;
   auto want_origin = origin;
@@ -434,8 +434,7 @@ TEST_P(AmsLevel1Merge, FusedPassMatchesOldPath) {
   for (ThreadPool* pool : {&inline_pool, &workers}) {
     std::vector<std::uint64_t> got_keys, got_origin;
     const auto stats = parallel_kway_merge_soa(
-        keys, origin, bounds, got_keys, got_origin, Less{}, pool,
-        host_merge_ranges(keys.size()));
+        keys, origin, bounds, got_keys, got_origin, Less{}, pool);
     EXPECT_GT(stats.ranges, 1u);
     EXPECT_EQ(got_keys, want_keys) << "workers " << pool->workers();
     EXPECT_EQ(got_origin, want_origin) << "workers " << pool->workers();
@@ -447,9 +446,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Level1Case{16, std::uint64_t{1} << 40},
                       Level1Case{16, 64}, Level1Case{64, std::uint64_t{1} << 40},
                       Level1Case{64, 64}),
-    [](const ::testing::TestParamInfo<Level1Case>& info) {
-      return "P" + std::to_string(info.param.q) +
-             (info.param.domain <= 64 ? "DupHeavy" : "Uniform");
+    [](const ::testing::TestParamInfo<Level1Case>& case_info) {
+      return "P" + std::to_string(case_info.param.q) +
+             (case_info.param.domain <= 64 ? "DupHeavy" : "Uniform");
     });
 
 }  // namespace
